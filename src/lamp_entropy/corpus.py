@@ -56,11 +56,36 @@ class SequenceCorpus:
         """Sequences as int32 index arrays over the vocabulary."""
         return [self.vocabulary.encode(s) for s in self.sequences]
 
+    def concatenated(self) -> tuple[np.ndarray, np.ndarray]:
+        """All sequences encoded end to end, and where each one starts.
+
+        Returns the int64 token array and ``n_sequences + 1`` int64
+        offsets: sequence ``i`` is ``tokens[offsets[i]:offsets[i + 1]]``.
+        """
+        encoded = self.encoded()
+        offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+        np.cumsum([idx.shape[0] for idx in encoded], out=offsets[1:])
+        return np.concatenate(encoded).astype(np.int64), offsets
+
     def token_counts(self) -> Counter:
         counts: Counter = Counter()
         for seq in self.sequences:
             counts.update(seq)
         return counts
+
+
+def lagged_pair_counts(tokens: np.ndarray, offsets: np.ndarray, n: int, lag: int) -> np.ndarray:
+    """``(n, n)`` counts of the pairs ``(tokens[t], tokens[t + lag])`` that
+    lie within one sequence; rows index the earlier token.
+
+    ``tokens`` and ``offsets`` are as returned by
+    :meth:`SequenceCorpus.concatenated`.
+    """
+    m = max(tokens.shape[0] - lag, 0)
+    ends = np.repeat(offsets[1:], np.diff(offsets))
+    within = ends[:m] > np.arange(lag, lag + m)
+    codes = tokens[:m] * n + tokens[lag : lag + m]
+    return np.bincount(codes[within], minlength=n * n).reshape(n, n)
 
 
 def load_sequences(

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import SequenceCorpus
+from .corpus import SequenceCorpus, lagged_pair_counts
 from .errors import LagTooLargeError
 
 
@@ -55,14 +55,9 @@ def contingency_table(seq, lag: int) -> ContingencyTable:
             alphabet[tok] = len(alphabet)
     idx = np.fromiter((alphabet[t] for t in seq), dtype=np.int64, count=len(seq))
     labels = tuple(alphabet)
-    counts = _pair_counts(idx, lag, len(labels))
+    offsets = np.array([0, idx.shape[0]], dtype=np.int64)
+    counts = lagged_pair_counts(idx, offsets, len(labels), lag)
     return ContingencyTable(labels, labels, counts)
-
-
-def _pair_counts(idx: np.ndarray, lag: int, n: int) -> np.ndarray:
-    src = idx[: idx.shape[0] - lag] if lag else idx
-    dst = idx[lag:]
-    return np.bincount(src * n + dst, minlength=n * n).reshape(n, n)
 
 
 def cramers_v(table: ContingencyTable) -> CramersV:
@@ -98,12 +93,7 @@ def dependency_profile(seq, max_lag: int, include_lag0: bool = False) -> list[Pr
         raise ValueError("max_lag must be >= 1")
     if len(seq) <= max_lag:
         raise LagTooLargeError(f"max_lag {max_lag} needs a sequence longer than {max_lag}")
-    lags = range(0 if include_lag0 else 1, max_lag + 1)
-    out = []
-    for lag in lags:
-        v = cramers_v(contingency_table(seq, lag))
-        out.append(ProfilePoint(lag, v.value, v.degenerate))
-    return out
+    return corpus_dependency_profile(SequenceCorpus.from_sequences([seq]), max_lag, include_lag0)
 
 
 def corpus_dependency_profile(
@@ -119,13 +109,10 @@ def corpus_dependency_profile(
         raise ValueError("max_lag must be >= 1")
     n = corpus.vocabulary.n
     labels = corpus.vocabulary.labels
-    encoded = [idx.astype(np.int64) for idx in corpus.encoded()]
+    tokens, offsets = corpus.concatenated()
     out = []
     for lag in range(0 if include_lag0 else 1, max_lag + 1):
-        counts = np.zeros((n, n), dtype=np.int64)
-        for idx in encoded:
-            if idx.shape[0] > lag:
-                counts += _pair_counts(idx, lag, n)
+        counts = lagged_pair_counts(tokens, offsets, n, lag)
         v = cramers_v(ContingencyTable(labels, labels, counts))
         out.append(ProfilePoint(lag, v.value, v.degenerate))
     return out

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import SequenceCorpus
+from .corpus import SequenceCorpus, lagged_pair_counts
 from .errors import DegenerateInitError, EmptyCorpusError, TooShortError
-from .lamp import KernelDistribution, LampModel, step_log2_probs
+from .lamp import KernelDistribution, LampModel, model_to_json_dict, step_log2_probs
 from .markov import StateSpace, TransitionMatrix
 
 logger = logging.getLogger(__name__)
@@ -23,10 +23,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_EM_TOL = 1e-6
 DEFAULT_EM_MAX_ITER = 500
 DEFAULT_INIT_SMOOTHING = 0.1
-
-# np.bincount beats scattered adds but allocates n*n floats; past this
-# many states fall back to np.add.at.
-_BINCOUNT_MAX_CELLS = 16_000_000
 
 
 @dataclass(frozen=True)
@@ -48,11 +44,7 @@ class FitReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "model": {
-                "labels": list(self.model.labels),
-                "rows": self.model.matrix.rows.tolist(),
-                "kernel": self.model.kernel.weights.tolist(),
-            },
+            "model": model_to_json_dict(self.model),
             "log_likelihood_trace": list(self.log_likelihood_trace),
             "iterations": self.iterations,
             "converged": self.converged,
@@ -61,11 +53,8 @@ class FitReport:
 
 def count_transitions(corpus: SequenceCorpus) -> TransitionCounts:
     """Count adjacent pairs within each sequence."""
-    n = corpus.vocabulary.n
-    counts = np.zeros((n, n), dtype=np.int64)
-    for idx in corpus.encoded():
-        if idx.shape[0] >= 2:
-            np.add.at(counts, (idx[:-1], idx[1:]), 1)
+    tokens, offsets = corpus.concatenated()
+    counts = lagged_pair_counts(tokens, offsets, corpus.vocabulary.n, 1)
     return TransitionCounts(corpus.vocabulary, counts)
 
 
@@ -111,6 +100,14 @@ def fit_lamp_em(
     matrix. Stops once the total log2-likelihood improves by less than
     ``tol``, or after ``max_iter`` rounds.
 
+    A position enters both steps only through its pattern: its ``k``
+    lagged sources and its target. Positions sharing a pattern are
+    merged once, before the first round, into one row weighted by how
+    often the pattern occurs, and maximisation accumulates over the
+    distinct (source, target) cells those rows touch. A round therefore
+    costs time in the number of distinct patterns rather than
+    positions; a long path over few states has few of them.
+
     Parameters
     ----------
     corpus : SequenceCorpus
@@ -126,42 +123,38 @@ def fit_lamp_em(
         raise ValueError("k must be >= 1")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    encoded = corpus.encoded()
-    if any(idx.shape[0] < 2 for idx in encoded):
+    tokens, offsets = corpus.concatenated()
+    lengths = np.diff(offsets)
+    if (lengths < 2).any():
         raise TooShortError("every sequence must hold at least two tokens")
     n = corpus.vocabulary.n
+    total_positions = tokens.shape[0] - lengths.shape[0]
 
-    src_blocks = []
-    tgt_blocks = []
-    for idx in encoded:
-        positions = np.arange(1, idx.shape[0])
-        tgt_blocks.append(idx[1:])
-        src_blocks.append(
-            np.stack([idx[np.maximum(positions - q, 0)] for q in range(1, k + 1)], axis=1)
-        )
-    sources = np.concatenate(src_blocks)          # (T, k)
-    targets = np.concatenate(tgt_blocks)          # (T,)
-    total_positions = targets.shape[0]
-    cell_of = sources.astype(np.int64) * n + targets[:, None]
+    sources, targets, multiplicity = _distinct_patterns(tokens, offsets, k, n)
+    cells, cell_of = np.unique(sources * n + targets[:, None], return_inverse=True)
+    cell_of = cell_of.reshape(sources.shape)
+    cell_row = cells // n
 
     if init is None:
         weights = np.full(k, 1.0 / k)
-        matrix_rows = fit_first_order(corpus, smoothing=DEFAULT_INIT_SMOOTHING).rows.copy()
+        counts = lagged_pair_counts(tokens, offsets, n, 1)
+        matrix_rows = _normalise_rows(counts + DEFAULT_INIT_SMOOTHING)
     else:
         kernel0, matrix0 = init
         if kernel0.k != k:
             raise ValueError(f"init kernel has order {kernel0.k}, expected {k}")
         if matrix0.states.labels != corpus.vocabulary.labels:
             raise ValueError("init matrix state space does not match the corpus vocabulary")
-        weights = kernel0.weights.copy()
-        matrix_rows = matrix0.rows.copy()
+        weights = kernel0.weights
+        matrix_rows = matrix0.rows
 
+    cell_probs = matrix_rows.ravel()[cells]
     trace: list[float] = []
     previous = -np.inf
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        mixture = matrix_rows[sources, targets[:, None]] * weights
+        mixture = cell_probs[cell_of] * weights
         totals = mixture.sum(axis=1)
         if (totals <= 0.0).any():
             raise DegenerateInitError(
@@ -169,32 +162,65 @@ def fit_lamp_em(
                 "parameters; the initialisation contains a structural zero "
                 "the data requires"
             )
-        log_likelihood = float(np.log2(totals).sum())
+        log_likelihood = float(multiplicity @ np.log2(totals))
         trace.append(log_likelihood)
         delta = log_likelihood - previous
         logger.info("em iter=%d log2_likelihood=%.6f delta=%.3g", iteration, log_likelihood, delta)
 
-        responsibilities = mixture / totals[:, None]
+        # Dividing before weighting keeps a k=1 responsibility exactly 1.
+        responsibilities = (mixture / totals[:, None]) * multiplicity[:, None]
         weights = responsibilities.sum(axis=0) / total_positions
-        if n * n <= _BINCOUNT_MAX_CELLS:
-            accum = np.bincount(
-                cell_of.ravel(), weights=responsibilities.ravel(), minlength=n * n
-            ).reshape(n, n)
-        else:
-            accum = np.zeros((n, n))
-            np.add.at(accum, (sources.ravel(), np.repeat(targets, k)), responsibilities.ravel())
-        matrix_rows = _normalise_rows(accum)
+        cell_mass = np.bincount(
+            cell_of.ravel(), weights=responsibilities.ravel(), minlength=cells.shape[0]
+        )
+        row_mass = np.bincount(cell_row, weights=cell_mass, minlength=n)[cell_row]
+        # A row with no mass becomes uniform, as in _normalise_rows.
+        cell_probs = np.divide(
+            cell_mass, row_mass, out=np.full_like(cell_mass, 1.0 / n), where=row_mass > 0
+        )
 
         if delta < tol:
             converged = True
             break
         previous = log_likelihood
 
+    accum = np.zeros(n * n)
+    accum[cells] = cell_mass
     model = LampModel(
-        TransitionMatrix(corpus.vocabulary, matrix_rows),
+        TransitionMatrix(corpus.vocabulary, _normalise_rows(accum.reshape(n, n))),
         KernelDistribution(weights),
     )
     return FitReport(model, tuple(trace), iteration, converged)
+
+
+def _distinct_patterns(
+    tokens: np.ndarray, offsets: np.ndarray, k: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (sources at lags 1..k, target) patterns of the scored
+    positions, and how many positions share each.
+
+    Every position after the first of its sequence is scored; its source
+    at lag ``q`` is ``q`` steps back, clamped to the sequence start.
+    Returns ``(sources (P, k), targets (P,), multiplicity (P,))``.
+    """
+    elapsed = np.arange(tokens.shape[0]) - np.repeat(offsets[:-1], np.diff(offsets))
+    scored = np.flatnonzero(elapsed >= 1)
+    back = elapsed[scored]
+    # Pack each pattern into one int64, a column at a time; when the next
+    # column could overflow, renumber the keys seen so far densely.
+    key = tokens[scored]
+    bound = n
+    for q in range(1, k + 1):
+        if bound * n > np.iinfo(np.int64).max:
+            uniq, key = np.unique(key, return_inverse=True)
+            bound = uniq.shape[0]
+        key = key * n + tokens[scored - np.minimum(q, back)]
+        bound *= n
+    _, first, multiplicity = np.unique(key, return_index=True, return_counts=True)
+    at = scored[first]
+    back = elapsed[at]
+    sources = np.stack([tokens[at - np.minimum(q, back)] for q in range(1, k + 1)], axis=1)
+    return sources, tokens[at], multiplicity.astype(float)
 
 
 def lamp_log_likelihood(model: LampModel, corpus: SequenceCorpus) -> float:

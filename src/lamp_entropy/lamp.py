@@ -235,12 +235,17 @@ def log_loss(model: LampModel, sequence, burn_in: int = 1000) -> float:
     return max(float(-step_log2[burn_in:].mean()), 0.0)
 
 
-def save_model(model: LampModel, path) -> None:
-    doc = {
+def model_to_json_dict(model: LampModel) -> dict:
+    """The model's JSON document: labels, matrix rows and kernel weights."""
+    return {
         "labels": list(model.labels),
         "rows": model.matrix.rows.tolist(),
         "kernel": model.kernel.weights.tolist(),
     }
+
+
+def save_model(model: LampModel, path) -> None:
+    doc = model_to_json_dict(model)
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 

@@ -107,6 +107,15 @@ class TestDependencyProfile:
         with pytest.raises(LagTooLargeError):
             dependency_profile(["a", "b"], 5)
 
+    def test_equals_one_sequence_corpus_and_per_lag_tables(self):
+        rng = np.random.default_rng(57)
+        seq = [f"s{i}" for i in rng.integers(0, 5, size=300)]
+        profile = dependency_profile(seq, 6, include_lag0=True)
+        assert profile == corpus_dependency_profile(SequenceCorpus.from_sequences([seq]), 6, True)
+        for point in profile:
+            expected = cramers_v(contingency_table(seq, point.lag))
+            assert (point.cramers_v, point.degenerate) == expected
+
 
 class TestCorpusProfile:
     def test_pools_tables_across_sequences(self):
@@ -119,6 +128,23 @@ class TestCorpusProfile:
         assert profile[0].cramers_v == pytest.approx(same_pairs.value, abs=1e-12)
         # short sequences skip lags they cannot support.
         assert profile[1].lag == 2
+
+    def test_equals_summed_per_sequence_tables(self):
+        rng = np.random.default_rng(58)
+        seqs = [[f"s{x}" for x in rng.integers(0, 5, size=length)]
+                for length in rng.integers(1, 9, size=60)]
+        corpus = SequenceCorpus.from_sequences(seqs)
+        labels = corpus.vocabulary.labels
+        n = len(labels)
+        profile = corpus_dependency_profile(corpus, 10, include_lag0=True)
+        assert [p.lag for p in profile] == list(range(11))
+        for point in profile:
+            summed = np.zeros((n, n), dtype=np.int64)
+            for seq in seqs:
+                for a, b in zip(seq, seq[point.lag:]):
+                    summed[labels.index(a), labels.index(b)] += 1
+            expected = cramers_v(ContingencyTable(labels, labels, summed))
+            assert (point.cramers_v, point.degenerate) == expected
 
     def test_lag_with_no_pairs_is_degenerate(self):
         corpus = SequenceCorpus.from_sequences([["a", "b"]])

@@ -23,6 +23,45 @@ from lamp_entropy import (
 from test_markov import random_ergodic
 
 
+def per_position_em(corpus, k, iterations, init=None):
+    """Reference EM with one row per scored position and no merging."""
+    n = corpus.vocabulary.n
+    sources, targets = [], []
+    for seq in corpus.sequences:
+        idx = corpus.vocabulary.encode(seq)
+        for t in range(1, len(idx)):
+            sources.append([idx[max(0, t - q)] for q in range(1, k + 1)])
+            targets.append(idx[t])
+    sources = np.array(sources)
+    targets = np.array(targets)
+    if init is None:
+        weights = np.full(k, 1.0 / k)
+        rows = fit_first_order(corpus, smoothing=0.1).rows
+    else:
+        weights, rows = init[0].weights, init[1].rows
+    trace = []
+    for _ in range(iterations):
+        mixture = rows[sources, targets[:, None]] * weights
+        totals = mixture.sum(axis=1)
+        trace.append(np.log2(totals).sum())
+        responsibilities = mixture / totals[:, None]
+        weights = responsibilities.sum(axis=0) / targets.shape[0]
+        accum = np.zeros((n, n))
+        cell_targets = np.broadcast_to(targets[:, None], sources.shape)
+        np.add.at(accum, (sources, cell_targets), responsibilities)
+        sums = accum.sum(axis=1, keepdims=True)
+        rows = np.where(sums > 0, accum / np.where(sums > 0, sums, 1.0), 1.0 / n)
+    return np.array(trace), weights, rows
+
+
+def assert_matches_per_position_em(corpus, k, iterations, init=None):
+    trace, weights, rows = per_position_em(corpus, k, iterations, init)
+    report = fit_lamp_em(corpus, k=k, init=init, max_iter=iterations, tol=0.0)
+    assert np.abs(np.array(report.log_likelihood_trace) / trace - 1.0).max() < 1e-9
+    assert np.abs(report.model.kernel.weights - weights).max() < 1e-9
+    assert np.abs(report.model.matrix.rows - rows).max() < 1e-9
+
+
 class TestCountTransitions:
     def test_single_sequence(self):
         corpus = SequenceCorpus.from_sequences([["a", "b", "a"]])
@@ -37,6 +76,17 @@ class TestCountTransitions:
     def test_singleton_sequence_contributes_nothing(self):
         corpus = SequenceCorpus.from_sequences([["a"]])
         assert count_transitions(corpus).counts.sum() == 0
+
+    def test_matches_pairwise_loop(self):
+        rng = np.random.default_rng(30)
+        seqs = [[f"s{x}" for x in rng.integers(0, 6, size=length)]
+                for length in rng.integers(0, 12, size=40)]
+        corpus = SequenceCorpus.from_sequences(seqs)
+        expected = np.zeros((corpus.vocabulary.n,) * 2, dtype=np.int64)
+        for seq in seqs:
+            for a, b in zip(seq, seq[1:]):
+                expected[corpus.vocabulary.index_of(a), corpus.vocabulary.index_of(b)] += 1
+        assert np.array_equal(count_transitions(corpus).counts, expected)
 
 
 class TestFitFirstOrder:
@@ -104,6 +154,43 @@ class TestFitLampEm:
         P_hat = report.model.matrix.rows[np.ix_(order, order)]
         assert np.abs(P_hat - P.rows).max() < 0.08
         assert np.abs(report.model.kernel.weights - w.weights).max() < 0.08
+
+    def test_matches_per_position_em(self):
+        rng = np.random.default_rng(36)
+        model = LampModel(random_ergodic(4, rng), KernelDistribution([0.5, 0.3, 0.2]))
+        lengths = rng.integers(2, 400, size=25)
+        corpus = SequenceCorpus.from_sequences(
+            [simulate_lamp(model, int(length), seed=s) for s, length in enumerate(lengths)]
+        )
+        assert_matches_per_position_em(corpus, k=3, iterations=15)
+
+    def test_patterns_too_wide_for_one_int64(self):
+        # 64 states and 12 lags give 2**78 patterns, more than an int64
+        # can number, so the pattern keys are renumbered while packing.
+        rng = np.random.default_rng(37)
+        model = LampModel(random_ergodic(64, rng), KernelDistribution.uniform(12))
+        corpus = SequenceCorpus.from_sequences(
+            [simulate_lamp(model, 100, seed=s) for s in range(20)]
+        )
+        assert corpus.vocabulary.n == 64
+        assert_matches_per_position_em(corpus, k=12, iterations=5)
+
+    def test_observed_row_without_mass_becomes_uniform(self):
+        # b -> c is observed only at lag 1, where the initial matrix gives
+        # it probability 0; row b gets no mass and turns uniform, which
+        # lets lag 1 explain b -> c from the second round on.
+        corpus = SequenceCorpus.from_sequences([["a", "b", "c"]])
+        matrix = validate_stochastic(
+            [[1 / 3, 1 / 3, 1 / 3], [0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1 / 3]], list("abc")
+        )
+        assert_matches_per_position_em(
+            corpus, k=2, iterations=4, init=(KernelDistribution.uniform(2), matrix)
+        )
+
+    def test_state_never_a_source_gets_uniform_row(self):
+        corpus = SequenceCorpus.from_sequences([["a", "b", "c"], ["b", "a", "c"]])
+        report = fit_lamp_em(corpus, k=2)
+        assert report.model.matrix.rows[corpus.vocabulary.index_of("c")].tolist() == [1 / 3] * 3
 
     def test_degenerate_init(self):
         corpus = SequenceCorpus.from_sequences([["a", "b", "a"]])
