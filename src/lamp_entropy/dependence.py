@@ -49,14 +49,9 @@ def contingency_table(seq, lag: int) -> ContingencyTable:
         raise ValueError("lag must be >= 0")
     if len(seq) <= lag:
         raise LagTooLargeError(f"lag {lag} needs a sequence longer than {lag}")
-    alphabet: dict[str, int] = {}
-    for tok in seq:
-        if tok not in alphabet:
-            alphabet[tok] = len(alphabet)
-    idx = np.fromiter((alphabet[t] for t in seq), dtype=np.int64, count=len(seq))
-    labels = tuple(alphabet)
-    offsets = np.array([0, idx.shape[0]], dtype=np.int64)
-    counts = lagged_pair_counts(idx, offsets, len(labels), lag)
+    corpus = SequenceCorpus.from_sequences([seq])
+    labels = corpus.vocabulary.labels
+    counts = lagged_pair_counts(corpus.tokens, corpus.offsets, len(labels), lag)
     return ContingencyTable(labels, labels, counts)
 
 
@@ -109,10 +104,9 @@ def corpus_dependency_profile(
         raise ValueError("max_lag must be >= 1")
     n = corpus.vocabulary.n
     labels = corpus.vocabulary.labels
-    tokens, offsets = corpus.concatenated()
     out = []
     for lag in range(0 if include_lag0 else 1, max_lag + 1):
-        counts = lagged_pair_counts(tokens, offsets, n, lag)
+        counts = lagged_pair_counts(corpus.tokens, corpus.offsets, n, lag)
         v = cramers_v(ContingencyTable(labels, labels, counts))
         out.append(ProfilePoint(lag, v.value, v.degenerate))
     return out

@@ -99,9 +99,7 @@ def sequence_level_estimate(
     corpus: SequenceCorpus, preprocessing: dict | None = None
 ) -> EntropyReport:
     """Entropy of the token distribution pooled across all sequences."""
-    counts = np.zeros(corpus.vocabulary.n)
-    for idx in corpus.encoded():
-        counts += np.bincount(idx, minlength=corpus.vocabulary.n)
+    counts = np.bincount(corpus.tokens, minlength=corpus.vocabulary.n)
     total = counts.sum()
     if total == 0:
         raise EmptyCorpusError("corpus contains no tokens")
@@ -117,10 +115,11 @@ def path_level_estimate(
 ) -> EntropyReport:
     """Per-sequence frequency entropy, averaged with equal weight per sequence."""
     values = []
-    for i, idx in enumerate(corpus.encoded()):
-        if idx.shape[0] == 0:
+    bounds = corpus.offsets.tolist()
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if a == b:
             raise EmptySequenceError(f"sequence {i} is empty")
-        counts = np.bincount(idx)
+        counts = np.bincount(corpus.tokens[a:b])
         values.append(shannon_entropy(counts / counts.sum()))
     return EntropyReport(
         EstimatorMethod.PATH_LEVEL,

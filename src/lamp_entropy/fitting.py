@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import SequenceCorpus, lagged_pair_counts
-from .errors import DegenerateInitError, EmptyCorpusError, TooShortError
-from .lamp import KernelDistribution, LampModel, model_to_json_dict, step_log2_probs
+from .errors import DegenerateInitError, EmptyCorpusError, TooShortError, UnknownTokenError
+from .lamp import KernelDistribution, LampModel, _step_scores, model_to_json_dict
 from .markov import StateSpace, TransitionMatrix
 
 logger = logging.getLogger(__name__)
@@ -53,8 +53,7 @@ class FitReport:
 
 def count_transitions(corpus: SequenceCorpus) -> TransitionCounts:
     """Count adjacent pairs within each sequence."""
-    tokens, offsets = corpus.concatenated()
-    counts = lagged_pair_counts(tokens, offsets, corpus.vocabulary.n, 1)
+    counts = lagged_pair_counts(corpus.tokens, corpus.offsets, corpus.vocabulary.n, 1)
     return TransitionCounts(corpus.vocabulary, counts)
 
 
@@ -123,7 +122,7 @@ def fit_lamp_em(
         raise ValueError("k must be >= 1")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    tokens, offsets = corpus.concatenated()
+    tokens, offsets = corpus.tokens, corpus.offsets
     lengths = np.diff(offsets)
     if (lengths < 2).any():
         raise TooShortError("every sequence must hold at least two tokens")
@@ -201,14 +200,15 @@ def _distinct_patterns(
 
     Every position after the first of its sequence is scored; its source
     at lag ``q`` is ``q`` steps back, clamped to the sequence start.
-    Returns ``(sources (P, k), targets (P,), multiplicity (P,))``.
+    Returns ``(sources (P, k), targets (P,), multiplicity (P,))``; the
+    sources are int64, so ``sources * n + target`` cannot overflow.
     """
     elapsed = np.arange(tokens.shape[0]) - np.repeat(offsets[:-1], np.diff(offsets))
     scored = np.flatnonzero(elapsed >= 1)
     back = elapsed[scored]
     # Pack each pattern into one int64, a column at a time; when the next
     # column could overflow, renumber the keys seen so far densely.
-    key = tokens[scored]
+    key = tokens[scored].astype(np.int64)
     bound = n
     for q in range(1, k + 1):
         if bound * n > np.iinfo(np.int64).max:
@@ -219,7 +219,9 @@ def _distinct_patterns(
     _, first, multiplicity = np.unique(key, return_index=True, return_counts=True)
     at = scored[first]
     back = elapsed[at]
-    sources = np.stack([tokens[at - np.minimum(q, back)] for q in range(1, k + 1)], axis=1)
+    sources = np.stack(
+        [tokens[at - np.minimum(q, back)] for q in range(1, k + 1)], axis=1, dtype=np.int64
+    )
     return sources, tokens[at], multiplicity.astype(float)
 
 
@@ -229,8 +231,18 @@ def lamp_log_likelihood(model: LampModel, corpus: SequenceCorpus) -> float:
     Every position after the first of each sequence is scored against
     its full history; single-token sequences contribute nothing.
     """
+    # Corpus code -> model code, -1 for a label the model lacks.
+    states = model.matrix.states
+    to_model = np.array(
+        [states.index_of(lab) if lab in states else -1 for lab in corpus.vocabulary.labels]
+    )
+    bounds = corpus.offsets.tolist()
     total = 0.0
-    for seq in corpus.sequences:
-        if len(seq) >= 2:
-            total += float(step_log2_probs(model, seq).sum())
+    for a, b in zip(bounds, bounds[1:]):
+        if b - a >= 2:
+            idx = to_model[corpus.tokens[a:b]]
+            if (idx < 0).any():
+                code = corpus.tokens[a + int(np.argmax(idx < 0))]
+                raise UnknownTokenError(f"unknown token {corpus.vocabulary.labels[code]!r}")
+            total += float(np.log2(_step_scores(model, idx)[0]).sum())
     return total

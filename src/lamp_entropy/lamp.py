@@ -177,20 +177,20 @@ def step_log2_probs(model: LampModel, sequence) -> np.ndarray:
     Entry ``t-1`` scores ``sequence[t]`` against the history
     ``sequence[:t]``; raising on any zero-probability symbol.
     """
-    mixture, _ = _step_scores(model, sequence)
+    mixture, _ = _step_scores(model, model.matrix.states.encode(sequence))
     return np.log2(mixture)
 
 
-def _step_scores(model: LampModel, sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Per position t >= 1: the mixture probability of ``sequence[t]``,
-    and the posterior-weighted log2 transition probability.
+def _step_scores(model: LampModel, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per position t >= 1 of the encoded sequence ``idx``: the mixture
+    probability of ``idx[t]``, and the posterior-weighted log2
+    transition probability.
 
     The second array is ``sum_q gamma_q * log2 P[x_{max(0,t-q)}, x_t]``
     with ``gamma_q`` proportional to ``w_q * P[x_{max(0,t-q)}, x_t]``:
     the expected surprisal of the step's realised transition once the
     latent lag is integrated out under its posterior given the path.
     """
-    idx = model.matrix.states.encode(sequence)
     if idx.shape[0] < 2:
         raise TooShortError("need at least two symbols to score")
     rows = model.matrix.rows
@@ -231,7 +231,7 @@ def log_loss(model: LampModel, sequence, burn_in: int = 1000) -> float:
             f"sequence of length {len(sequence)} leaves nothing to score "
             f"after burn_in={burn_in}"
         )
-    _, step_log2 = _step_scores(model, sequence)
+    _, step_log2 = _step_scores(model, model.matrix.states.encode(sequence))
     return max(float(-step_log2[burn_in:].mean()), 0.0)
 
 

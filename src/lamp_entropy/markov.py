@@ -71,10 +71,9 @@ class StateSpace:
 
     def encode(self, tokens) -> np.ndarray:
         """Map a token sequence to an int32 index array."""
-        index = self._index
         try:
             return np.fromiter(
-                (index[t] for t in tokens), dtype=np.int32, count=len(tokens)
+                map(self._index.__getitem__, tokens), dtype=np.int32, count=len(tokens)
             )
         except KeyError as exc:
             raise UnknownTokenError(f"unknown token {exc.args[0]!r}") from None

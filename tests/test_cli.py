@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,3 +215,50 @@ class TestPreprocess:
                     "--group-col", 0, "--item-col", 1, "--min-count", 1, "--output", out])
         assert code == 0
         assert out.read_text() == "x y\nz\n"
+
+
+def pinned_corpus_text():
+    """12 sequences over s0..s6 with consecutive repeats, plus tokens seen
+    once: single ones, and adjacent pairs that pool into one placeholder."""
+    lines = []
+    for i in range(12):
+        toks = [f"s{(3 * i + j * j + j // 3) % 7}" for j in range(18 + i)]
+        if i % 3 == 0:
+            toks.insert(5, f"once{i}")
+        if i % 4 == 1:
+            toks[7:7] = [f"x{i}", f"y{i}"]
+        lines.append(" ".join(toks))
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of every artifact the commands below write, recorded before the
+# corpus became flat arrays; a change that alters any byte fails here.
+PINNED_ARTIFACTS = {
+    "clean.lines": "235504426abf7a936cb2cd2ed2c01b76ba2ea1952ef9c6ebebc7a14356edb86a",
+    "clean.lines.report.json": "b240faa68b81b25ed77b54385b4fb6cf114b356159bb1cdfcc4d1d63ad6544ff",
+    "clean.lines.run.json": "106e3bdab8aeb1fa8829c7152b63ca0ea8d90eb241d1c3af4f7ba7f2b8835d1e",
+    "entropy.json": "8d3db492674ff7a9172a78ebfcd10170ee9818bd86555f018db5df0ebf87ae70",
+    "model.json": "15657f3cb2c0f1f55a0b5926b4059c1c36ab67e2eca3ea43f87b74aa034a20e9",
+    "model.json.report.json": "f586c67800bbf3de8e56852b74377cadfe6e7caa8e10e0d2ec9fb30351000c5c",
+    "sweep.csv": "f311fe5c3aaa7070e40f7cb58ec9208baedbfe95483abf25cdd3dac3738734fa",
+    "sweep.csv.run.json": "e0a45009177431e81b247528e48116bc5d9a4399db4854f4ffa0758f7000e442",
+}
+
+
+def test_artifact_bytes_pinned(tmp_path, monkeypatch):
+    # Relative paths, so the configs embedded in the artifacts do not
+    # depend on where the test runs.
+    monkeypatch.chdir(tmp_path)
+    Path("corpus.lines").write_text(pinned_corpus_text(), encoding="utf-8")
+    common = ["--input", "corpus.lines", "--min-count", "3"]
+    assert main(["preprocess", *common, "--output", "clean.lines"]) == 0
+    assert main(["entropy", *common, "--method", "markov", "--output", "entropy.json"]) == 0
+    assert main(["fit", *common, "--k", "2", "--max-iter", "15", "--tol", "0",
+                 "--output", "model.json"]) == 0
+    assert main(["sweep", *common, "--output", "sweep.csv"]) == 0
+    written = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.iterdir())
+        if p.name != "corpus.lines"
+    }
+    assert written == PINNED_ARTIFACTS

@@ -1,5 +1,8 @@
+from collections import Counter
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lamp_entropy import (
@@ -12,6 +15,7 @@ from lamp_entropy import (
     preprocess,
     replace_rare,
 )
+from lamp_entropy.corpus import lagged_pair_counts
 
 tokens_strategy = st.lists(
     st.lists(st.sampled_from("abcd"), min_size=1, max_size=30), min_size=1, max_size=8
@@ -135,3 +139,120 @@ class TestPreprocess:
 def test_empty_corpus_rejected():
     with pytest.raises(EmptyCorpusError):
         SequenceCorpus.from_sequences([])
+
+
+class TestEncodedCorpus:
+    def test_flat_codes_and_offsets(self):
+        corpus = SequenceCorpus.from_sequences([["b", "a"], [], ["a", "c", "b"]])
+        assert corpus.vocabulary.labels == ("b", "a", "c")
+        assert corpus.tokens.dtype == np.int32
+        assert corpus.tokens.tolist() == [0, 1, 1, 2, 0]
+        assert corpus.offsets.dtype == np.int64
+        assert corpus.offsets.tolist() == [0, 2, 2, 5]
+        assert corpus.sequences == (("b", "a"), (), ("a", "c", "b"))
+        assert (corpus.n_sequences, corpus.total_tokens) == (3, 5)
+
+    def test_arrays_are_read_only_copies(self):
+        tokens = np.array([0, 1, 0])
+        corpus = SequenceCorpus(tokens, [0, 3], SequenceCorpus.from_sequences(["ab"]).vocabulary)
+        tokens[0] = 1
+        assert corpus.tokens.tolist() == [0, 1, 0]
+        with pytest.raises(ValueError):
+            corpus.tokens[0] = 1
+        with pytest.raises(ValueError):
+            corpus.offsets[0] = 1
+
+    @pytest.mark.parametrize(
+        "tokens, offsets",
+        [([0, 1], [0, 1]), ([0, 1], [1, 2]), ([0, 1], [0, 2, 1, 2]), ([0, 2], [0, 2]), ([-1], [0, 1])],
+    )
+    def test_malformed_arrays_rejected(self, tokens, offsets):
+        vocab = SequenceCorpus.from_sequences(["ab"]).vocabulary
+        with pytest.raises(ValueError):
+            SequenceCorpus(tokens, offsets, vocab)
+
+    def test_equality_is_identity(self):
+        corpus = SequenceCorpus.from_sequences([["a", "b"]])
+        assert corpus == corpus
+        assert corpus != SequenceCorpus.from_sequences([["a", "b"]])
+
+    def test_empty_sequences_only_rejected(self):
+        with pytest.raises(EmptyCorpusError):
+            SequenceCorpus.from_sequences([[], []])
+
+    def test_lagged_pairs_skip_boundaries_and_short_sequences(self):
+        seqs = [["a", "b", "c", "a"], ["b"], [], ["c", "a", "b"], ["a", "c"]]
+        corpus = SequenceCorpus.from_sequences(seqs)
+        n = corpus.vocabulary.n
+        for lag in range(5):
+            want = np.zeros((n, n), dtype=np.int64)
+            for seq in seqs:
+                idx = corpus.vocabulary.encode(seq)
+                for t in range(len(idx) - lag):
+                    want[idx[t], idx[t + lag]] += 1
+            got = lagged_pair_counts(corpus.tokens, corpus.offsets, n, lag)
+            assert np.array_equal(got, want), lag
+
+
+def reference_dedupe(seqs):
+    return [[tok for i, tok in enumerate(seq) if i == 0 or seq[i - 1] != tok] for seq in seqs]
+
+
+def reference_replace_rare(seqs, min_count, rare_token):
+    counts = Counter(tok for seq in seqs for tok in seq)
+    rare = {tok for tok, c in counts.items() if c < min_count}
+    return [[rare_token if tok in rare else tok for tok in seq] for seq in seqs], rare
+
+
+def reference_report(stage, seqs):
+    vocab = dict.fromkeys(tok for seq in seqs for tok in seq)
+    return {"stage": stage, "n_sequences": len(seqs), "N": sum(map(len, seqs)), "vocab": len(vocab)}
+
+
+def check_corpus(corpus, seqs):
+    assert corpus.sequences == tuple(tuple(seq) for seq in seqs)
+    assert corpus.vocabulary.labels == tuple(dict.fromkeys(tok for seq in seqs for tok in seq))
+
+
+# Small alphabets so that runs, rare tokens and runs of rare tokens are common.
+raw_corpora = st.lists(
+    st.lists(st.sampled_from(["a", "a", "b", "c", "d", "e", "f"]), max_size=12),
+    min_size=1,
+    max_size=6,
+).filter(lambda seqs: any(seqs))
+
+
+class TestPipelineAgainstReference:
+    """The array pipeline against the string-tuple semantics, written out here."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_corpora, st.integers(min_value=0, max_value=50))
+    @example([["a", "b", "b"], [], ["c"]], 0)  # empty sequence
+    @example([["a", "b", "c"], ["d", "e"]], 40)  # every token rare
+    @example([["a", "x", "y", "z", "a"], ["a", "q"]], 2)  # a rare run pools into one placeholder
+    def test_matches_reference(self, seqs, pick):
+        deduped = reference_dedupe(seqs)
+        counts = sorted(set(Counter(tok for seq in deduped for tok in seq).values()))
+        # A threshold exactly at some token's count, or one off either side.
+        candidates = [1] + counts + [c + 1 for c in counts]
+        min_count = candidates[pick % len(candidates)]
+        replaced_seqs, rare = reference_replace_rare(deduped, min_count, "UNK")
+        cleaned_seqs = reference_dedupe(replaced_seqs)
+
+        corpus = SequenceCorpus.from_sequences(seqs)
+        check_corpus(corpus, seqs)
+        once = dedupe_consecutive(corpus)
+        check_corpus(once, deduped)
+        pooled, replaced = replace_rare(once, min_count, "UNK")
+        check_corpus(pooled, replaced_seqs)
+        assert replaced == rare
+
+        cleaned, reports = preprocess(corpus, min_count, "UNK")
+        check_corpus(cleaned, cleaned_seqs)
+        want = [
+            reference_report("input", seqs),
+            reference_report("dedupe", deduped),
+            dict(reference_report("replace_rare", replaced_seqs), replaced=len(rare)),
+            reference_report("dedupe", cleaned_seqs),
+        ]
+        assert reports == want

@@ -95,9 +95,7 @@ class TestEmpiricalEstimates:
         )
 
     def test_path_level_empty_sequence(self):
-        corpus = SequenceCorpus(
-            (("a",), ()), SequenceCorpus.from_sequences([["a"]]).vocabulary
-        )
+        corpus = SequenceCorpus.from_sequences([["a"], []])
         with pytest.raises(EmptySequenceError):
             path_level_estimate(corpus)
 

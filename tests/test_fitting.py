@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lamp_entropy import (
     LampModel,
     SequenceCorpus,
     TooShortError,
+    UnknownTokenError,
     count_transitions,
     fit_first_order,
     fit_lamp_em,
@@ -20,6 +22,7 @@ from lamp_entropy import (
     validate_stochastic,
 )
 
+from lamp_entropy.fitting import _distinct_patterns
 from test_markov import random_ergodic
 
 
@@ -175,6 +178,26 @@ class TestFitLampEm:
         assert corpus.vocabulary.n == 64
         assert_matches_per_position_em(corpus, k=12, iterations=5)
 
+    def test_pattern_keys_wider_than_int32(self):
+        # With 2**16 states a k=2 key spans 2**48 values: packed in the
+        # corpus's int32 codes, the target column would wrap out of the
+        # key and (6, 5) -> 7 would merge with (6, 5) -> 8.
+        n = 2**16
+        tokens = np.array([5, 6, 7, 5, 6, 8, n - 1, n - 2], dtype=np.int32)
+        offsets = np.array([0, 6, 8])
+        sources, targets, multiplicity = _distinct_patterns(tokens, offsets, 2, n)
+        want = Counter()
+        for a, b in zip(offsets[:-1], offsets[1:]):
+            seq = tokens[a:b].tolist()
+            for t in range(1, len(seq)):
+                want[(seq[t - 1], seq[max(t - 2, 0)], seq[t])] += 1
+        got = {
+            (*src, tgt): m
+            for src, tgt, m in zip(sources.tolist(), targets.tolist(), multiplicity.tolist())
+        }
+        assert got == want
+        assert sources.dtype == np.int64
+
     def test_observed_row_without_mass_becomes_uniform(self):
         # b -> c is observed only at lag 1, where the initial matrix gives
         # it probability 0; row b gets no mass and turns uniform, which
@@ -259,3 +282,13 @@ class TestLampLogLikelihood:
             dist = lamp_transition_distribution(model, seq[:t])
             expected += math.log2(dist[model.matrix.states.index_of(seq[t])])
         assert lamp_log_likelihood(model, corpus) == pytest.approx(expected, abs=1e-9)
+
+    def test_corpus_codes_mapped_to_model_labels(self):
+        # The corpus numbers b before a; a single-token sequence is not
+        # scored, so a label the model lacks is harmless there.
+        P = validate_stochastic([[0.2, 0.8], [0.6, 0.4]], ["a", "b"])
+        model = LampModel(P, KernelDistribution.point_mass(1))
+        corpus = SequenceCorpus.from_sequences([["b", "a", "a"], ["z"]])
+        assert lamp_log_likelihood(model, corpus) == math.log2(0.6) + math.log2(0.2)
+        with pytest.raises(UnknownTokenError, match="'z'"):
+            lamp_log_likelihood(model, SequenceCorpus.from_sequences([["a", "b"], ["b", "z"]]))
