@@ -36,7 +36,7 @@ from .estimators import (
 )
 from .fitting import fit_first_order, fit_lamp_em
 from .lamp import load_model, save_model, simulate_lamp
-from .markov import load_matrix_csv, load_matrix_json, simulate_markov
+from .markov import EncodedJSON, load_matrix_csv, load_matrix_json, simulate_markov, write_json
 
 
 @dataclass(frozen=True)
@@ -165,16 +165,14 @@ def _emit_error(exc: Exception, config: RunConfig) -> None:
 
 
 def _write_json(path, doc: dict, config: RunConfig) -> None:
-    doc = dict(doc)
-    doc["config"] = config.to_json_dict()
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_json({**doc, "config": config.to_json_dict()}, path)
 
 
 def _write_sidecar(path, config: RunConfig, extra: dict | None = None) -> None:
     doc = config.to_json_dict()
     if extra:
         doc.update(extra)
-    Path(f"{path}.run.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_json(doc, f"{path}.run.json")
 
 
 def _write_lines(path, sequences) -> None:
@@ -228,10 +226,10 @@ def _cmd_simulate(args, config: RunConfig) -> None:
 def _cmd_fit(args, config: RunConfig) -> None:
     corpus, info = _preprocessed_corpus(args)
     report = fit_lamp_em(corpus, args.k, max_iter=args.max_iter, tol=args.tol)
-    save_model(report.model, args.output)
+    # The model is encoded once: the report embeds the text of the model file.
+    model = EncodedJSON(save_model(report.model, args.output))
     report_path = args.report or f"{args.output}.report.json"
-    doc = report.to_json_dict()
-    doc["preprocessing"] = info
+    doc = {"model": model, **report._fit_json_dict(), "preprocessing": info}
     _write_json(report_path, doc, config)
     final = report.log_likelihood_trace[-1]
     print(

@@ -58,7 +58,7 @@ class DegenerateComponentError(LampError):
 
 
 class InvalidProbabilityError(LampError):
-    """A probability parameter is outside its valid open interval."""
+    """A probability is not finite, or a parameter is outside its valid open interval."""
 
 
 class MalformedRowError(LampError):

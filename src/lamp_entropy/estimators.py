@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .lamp import KernelDistribution
 from .markov import (
     ROW_SUM_TOL,
     TransitionMatrix,
+    _reject_non_finite,
     entropy_rate,
     is_irreducible,
     stationary_distribution,
@@ -86,9 +86,12 @@ def shannon_entropy(dist) -> float:
     arr = np.asarray(dist, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise NotADistributionError("expected a non-empty 1-D probability vector")
-    if (arr < 0).any():
+    # Positive assertions, so that NaN fails them.
+    if not (arr >= 0).all():
+        _reject_non_finite(arr, "probabilities")
         raise NotADistributionError("probabilities must be non-negative")
-    if abs(arr.sum() - 1.0) >= ROW_SUM_TOL:
+    if not abs(arr.sum() - 1.0) < ROW_SUM_TOL:
+        _reject_non_finite(arr, "probabilities")
         raise NotADistributionError(f"probabilities sum to {arr.sum()!r}, expected 1")
     positive = arr[arr > 0.0]
     value = float(-(positive * np.log2(positive)).sum())
@@ -303,7 +306,8 @@ def write_sweep_csv(sweep: SweepResult, path) -> None:
 
 
 def read_sweep_csv(path) -> SweepResult:
-    rows = list(csv.DictReader(Path(path).open("r", encoding="utf-8", newline="")))
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     exponents = tuple(int(r["i"]) for r in rows)
     raw = tuple(float(r["raw_bits"]) for r in rows)
     normalized = tuple(float(r["normalized"]) for r in rows)

@@ -43,8 +43,11 @@ class FitReport:
     converged: bool
 
     def to_json_dict(self) -> dict:
+        return {"model": model_to_json_dict(self.model), **self._fit_json_dict()}
+
+    def _fit_json_dict(self) -> dict:
+        # Everything but the model, which the CLI embeds already encoded.
         return {
-            "model": model_to_json_dict(self.model),
             "log_likelihood_trace": list(self.log_likelihood_trace),
             "iterations": self.iterations,
             "converged": self.converged,

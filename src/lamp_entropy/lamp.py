@@ -17,14 +17,12 @@ import numpy as np
 from .errors import (
     EmptyHistoryError,
     NotIrreducibleError,
-    RowSumError,
-    NegativeEntryError,
     TooShortError,
     ZeroProbabilityError,
 )
 from .markov import (
-    ROW_SUM_TOL,
     _TABLE_SAMPLING_MAX_STATES,
+    _check_probabilities,
     _next_state_table,
     _resolve_init,
     TransitionMatrix,
@@ -32,6 +30,7 @@ from .markov import (
     is_irreducible,
     stationary_distribution,
     validate_stochastic,
+    write_json,
 )
 
 
@@ -45,10 +44,7 @@ class KernelDistribution:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("kernel weights must be a non-empty 1-D vector")
-        if (w < 0).any():
-            raise NegativeEntryError("kernel weights must be non-negative")
-        if abs(w.sum() - 1.0) >= ROW_SUM_TOL:
-            raise RowSumError(f"kernel weights sum to {w.sum()!r}, expected 1")
+        _check_probabilities(w, "kernel weights")
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -237,16 +233,24 @@ def log_loss(model: LampModel, sequence, burn_in: int = 1000) -> float:
 
 def model_to_json_dict(model: LampModel) -> dict:
     """The model's JSON document: labels, matrix rows and kernel weights."""
+    doc = _model_document(model)
+    doc["rows"] = doc["rows"].tolist()
+    return doc
+
+
+def _model_document(model: LampModel) -> dict:
+    # The document with the matrix left as an array, which the writer
+    # formats without building a list of floats.
     return {
         "labels": list(model.labels),
-        "rows": model.matrix.rows.tolist(),
+        "rows": model.matrix.rows,
         "kernel": model.kernel.weights.tolist(),
     }
 
 
-def save_model(model: LampModel, path) -> None:
-    doc = model_to_json_dict(model)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+def save_model(model: LampModel, path) -> str:
+    """Write the model's JSON document to ``path``; return the text written."""
+    return write_json(_model_document(model), path)
 
 
 def load_model(path) -> LampModel:

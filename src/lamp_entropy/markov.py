@@ -3,7 +3,8 @@
 Transition matrices are validated, immutable, row-stochastic arrays.
 The stationary distribution is obtained by a direct linear solve for
 small chains and by damped power iteration otherwise; the entropy rate
-is reported in bits per symbol throughout.
+is reported in bits per symbol throughout. Every JSON artifact of the
+package is written by :func:`encode_json`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     DuplicateLabelError,
     InvalidInitStateError,
+    InvalidProbabilityError,
     NegativeEntryError,
     NoConvergenceError,
     NonSquareError,
@@ -103,13 +105,7 @@ class TransitionMatrix:
             raise DimensionMismatchError(
                 f"{self.states.n} labels for a {rows.shape[0]}-row matrix"
             )
-        if (rows < 0).any():
-            raise NegativeEntryError("transition probabilities must be non-negative")
-        sums = rows.sum(axis=1)
-        bad = np.abs(sums - 1.0) >= ROW_SUM_TOL
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise RowSumError(f"row {i} sums to {sums[i]!r}, expected 1")
+        _check_probabilities(rows, "transition probabilities")
         rows = rows.copy()
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
@@ -134,10 +130,7 @@ class StationaryDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.shape[0] != self.states.n:
             raise DimensionMismatchError("probability vector does not match state space")
-        if (probs < 0).any():
-            raise NegativeEntryError("stationary probabilities must be non-negative")
-        if abs(probs.sum() - 1.0) >= ROW_SUM_TOL:
-            raise RowSumError(f"stationary probabilities sum to {probs.sum()!r}")
+        _check_probabilities(probs, "stationary probabilities")
         probs = probs.copy()
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
@@ -158,14 +151,38 @@ def validate_stochastic(raw, labels) -> TransitionMatrix:
         raise DimensionMismatchError(
             f"{len(labels)} labels for a {arr.shape[0]}-row matrix"
         )
-    if (arr < 0).any():
-        raise NegativeEntryError("transition probabilities must be non-negative")
-    sums = arr.sum(axis=1)
-    bad = np.abs(sums - 1.0) >= ROW_SUM_TOL
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise RowSumError(f"row {i} sums to {sums[i]!r}, expected 1")
+    sums = _check_probabilities(arr, "transition probabilities")
     return TransitionMatrix(StateSpace(tuple(labels)), arr / sums[:, None])
+
+
+def _check_probabilities(values: np.ndarray, what: str) -> np.ndarray:
+    """Check a probability vector, or each row of a matrix; return the sums.
+
+    Entries must be non-negative and each sum within ``ROW_SUM_TOL`` of
+    1. Both checks are positive assertions, so NaN fails them; the scan
+    for non-finite entries runs only once one has failed.
+    """
+    if not (values >= 0).all():
+        _reject_non_finite(values, what)
+        raise NegativeEntryError(f"{what} must be non-negative")
+    sums = values.sum(axis=-1)
+    ok = abs(sums - 1.0) < ROW_SUM_TOL
+    # A vector's sum is a scalar: test it as one (ndarray.all costs more
+    # than the whole check for the small chains of a sweep).
+    if values.ndim == 1:
+        if not ok:
+            _reject_non_finite(values, what)
+            raise RowSumError(f"{what} sum to {sums!r}, expected 1")
+    elif not ok.all():
+        _reject_non_finite(values, what)
+        i = int(np.argmin(ok))
+        raise RowSumError(f"row {i} sums to {sums[i]!r}, expected 1")
+    return sums
+
+
+def _reject_non_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise InvalidProbabilityError(f"{what} must be finite")
 
 
 def is_irreducible(matrix: TransitionMatrix, edge_threshold: float = 0.0) -> bool:
@@ -339,9 +356,84 @@ def _next_state_table(rows: np.ndarray, u: np.ndarray) -> list[list[int]]:
     return table
 
 
+@dataclass(frozen=True)
+class EncodedJSON:
+    """Text from :func:`encode_json`, embedded as it is in a larger document."""
+
+    text: str
+
+
+def encode_json(doc) -> str:
+    """The text ``json.dumps(doc, indent=2) + "\\n"``, byte for byte.
+
+    An ndarray is written as its ``tolist()`` and an :class:`EncodedJSON`
+    as its text, re-indented to where it sits. A finite 2-D float64
+    array, such as a transition matrix, is formatted straight from the
+    array: each nonzero entry by ``float.__repr__`` (as ``json`` does),
+    every zero as one shared ``"0.0"``. Strings, other numbers and
+    non-finite values go through ``json.dumps``, so escaping and the
+    spelling of ``NaN`` are the standard encoder's. Object keys must be
+    strings.
+    """
+    return _encode(doc, "") + "\n"
+
+
+def write_json(doc, path) -> str:
+    """Write :func:`encode_json` of ``doc`` to ``path``; return the text."""
+    text = encode_json(doc)
+    Path(path).write_text(text, encoding="utf-8")
+    return text
+
+
+def _encode(value, indent: str) -> str:
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            items.append(f"{inner}{json.dumps(key)}: {_encode(item, inner)}")
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        parts = [_encode(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
+    if isinstance(value, np.ndarray):
+        if value.ndim == 2 and value.size and value.dtype == np.float64:
+            if np.isfinite(value).all():
+                return _encode_matrix(value, indent)
+        return _encode(value.tolist(), indent)
+    if isinstance(value, EncodedJSON):
+        # Encoded JSON has raw newlines only in its layout (strings escape
+        # them), so this shifts the layout and touches no string.
+        return value.text.rstrip("\n").replace("\n", "\n" + indent)
+    return json.dumps(value)
+
+
+def _encode_matrix(rows: np.ndarray, indent: str) -> str:
+    # Only for a non-empty matrix: empty ones take the list path.
+    inner = indent + "  "
+    flat = rows.ravel()
+    cells = ["0.0"] * flat.size
+    # -0.0 compares equal to 0.0, but json spells it "-0.0".
+    hit = np.flatnonzero((flat != 0.0) | np.signbit(flat))
+    for i, text in zip(hit.tolist(), map(float.__repr__, flat[hit].tolist())):
+        cells[i] = text
+    head = "[\n" + inner + "  "
+    sep = ",\n" + inner + "  "
+    tail = "\n" + inner + "]"
+    n_cols = rows.shape[1]
+    row_texts = [
+        head + sep.join(cells[a : a + n_cols]) + tail for a in range(0, flat.size, n_cols)
+    ]
+    return "[\n" + inner + (",\n" + inner).join(row_texts) + "\n" + indent + "]"
+
+
 def save_matrix_json(matrix: TransitionMatrix, path) -> None:
-    doc = {"labels": list(matrix.labels), "rows": matrix.rows.tolist()}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_json({"labels": list(matrix.labels), "rows": matrix.rows}, path)
 
 
 def load_matrix_json(path) -> TransitionMatrix:

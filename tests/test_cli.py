@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from lamp_entropy import (
+    DEFAULT_RARE_TOKEN,
     KernelDistribution,
     LampModel,
+    fit_lamp_em,
+    load_sequences,
+    preprocess,
     save_matrix_csv,
     save_matrix_json,
     save_model,
@@ -104,6 +108,40 @@ class TestFit:
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
         assert report["config"]["params"]["k"] == 2
         assert report["preprocessing"]["min_count"] == 1
+
+    def test_fit_report_embeds_the_model_file(self, tmp_path):
+        # About 300 states, some with labels that json escapes.
+        rng = np.random.default_rng(70)
+        labels = [f"s{i}" for i in range(280)] + [f'q"{i}' for i in range(10)]
+        labels += [f"\u00fc\\{i}" for i in range(10)]
+        succ = rng.integers(0, len(labels), size=(len(labels), 4))
+        lines = []
+        for _ in range(40):
+            state = int(rng.integers(len(labels)))
+            toks = []
+            for _ in range(150):
+                toks.append(labels[state])
+                state = int(succ[state, rng.integers(4)])
+            lines.append(" ".join(toks))
+        corpus_path = tmp_path / "c.lines"
+        corpus_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        model_out, report_out = tmp_path / "fit.json", tmp_path / "fit.report.json"
+        assert run(["fit", "--input", corpus_path, "--k", 2, "--min-count", 1,
+                    "--max-iter", 4, "--output", model_out, "--report", report_out]) == 0
+        report_text = report_out.read_text(encoding="utf-8")
+        report = json.loads(report_text)
+        assert report["model"] == json.loads(model_out.read_text(encoding="utf-8"))
+        assert len(report["model"]["labels"]) > 290
+        # The bytes the report had when it was json.dumps of a plain document.
+        cleaned, stages = preprocess(load_sequences(corpus_path), 1, DEFAULT_RARE_TOKEN)
+        fit = fit_lamp_em(cleaned, 2, max_iter=4, tol=1e-6)
+        old = {
+            **fit.to_json_dict(),
+            "preprocessing": {"min_count": 1, "rare_token": DEFAULT_RARE_TOKEN, "stages": stages},
+            "config": report["config"],
+        }
+        assert report_text == json.dumps(old, indent=2) + "\n"
+        assert '\\u00fc\\\\' in report_text and 'q\\"' in report_text
 
     def test_fit_short_sequence_fails_cleanly(self, tmp_path, capsys):
         corpus_path = tmp_path / "c.lines"

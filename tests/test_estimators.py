@@ -1,3 +1,7 @@
+import gc
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from lamp_entropy import (
     EmptySequenceError,
     EstimatorMethod,
     Induced,
+    InvalidProbabilityError,
     KernelDistribution,
     LampModel,
     LargestCC,
@@ -26,7 +31,9 @@ from lamp_entropy import (
     stationary_distribution_estimate,
     sweep_p_artificial,
     validate_stochastic,
+    write_sweep_csv,
 )
+from lamp_entropy.estimators import read_sweep_csv
 
 from test_markov import random_ergodic
 
@@ -62,6 +69,11 @@ class TestShannonEntropy:
             shannon_entropy([0.5, 0.6])
         with pytest.raises(NotADistributionError):
             shannon_entropy([1.5, -0.5])
+
+    @pytest.mark.parametrize("dist", [[float("nan"), 1.0], [float("inf"), 0.0]])
+    def test_rejects_non_finite(self, dist):
+        with pytest.raises(InvalidProbabilityError):
+            shannon_entropy(dist)
 
 
 class TestEmpiricalEstimates:
@@ -237,6 +249,21 @@ class TestSweep:
 
     def test_minmax_constant_curve_is_zeros(self):
         assert minmax_normalize([1.5, 1.5, 1.5]) == [0.0, 0.0, 0.0]
+
+    def test_read_sweep_csv_closes_its_file(self, tmp_path, monkeypatch):
+        raw = (3.0, 2.5, 2.4)
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(SweepResult((1, 2, 3), raw, tuple(minmax_normalize(raw)), None), path)
+        # A file left open warns when it is freed; as an error raised in a
+        # finaliser, that reaches sys.unraisablehook, not the caller.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            back = read_sweep_csv(path)
+            gc.collect()
+        assert unraisable == []
+        assert back.raw == raw
 
 
 class TestDetectPlateau:

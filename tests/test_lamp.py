@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from lamp_entropy import (
     EmptyHistoryError,
+    InvalidProbabilityError,
     KernelDistribution,
     LampModel,
     NotIrreducibleError,
@@ -24,6 +27,7 @@ from lamp_entropy import (
     step_log2_probs,
     validate_stochastic,
 )
+from lamp_entropy.lamp import model_to_json_dict
 
 from test_markov import H_BINARY_01, random_ergodic
 
@@ -38,6 +42,11 @@ class TestKernelDistribution:
         with pytest.raises(RowSumError):
             KernelDistribution([0.5, 0.6])
         assert KernelDistribution([0.25, 0.75]).k == 2
+
+    @pytest.mark.parametrize("weights", [[float("nan"), 1.0], [float("inf"), 0.0]])
+    def test_non_finite_rejected(self, weights):
+        with pytest.raises(InvalidProbabilityError):
+            KernelDistribution(weights)
 
     def test_point_mass(self):
         w = KernelDistribution.point_mass(3)
@@ -219,3 +228,41 @@ def test_model_json_roundtrip(tmp_path):
     assert back.labels == model.labels
     assert np.allclose(back.matrix.rows, model.matrix.rows, atol=1e-15)
     assert np.allclose(back.kernel.weights, model.kernel.weights, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"labels": ["a", "b"], "rows": [[float("nan"), 1.0], [0.5, 0.5]], "kernel": [1.0]},
+        {"labels": ["a", "b"], "rows": [[0.5, 0.5], [0.5, 0.5]], "kernel": [float("nan"), 1.0]},
+    ],
+)
+def test_load_model_rejects_nan(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc, indent=2))
+    assert "NaN" in path.read_text()
+    with pytest.raises(InvalidProbabilityError):
+        load_model(path)
+
+
+def test_save_model_bytes_of_large_model(tmp_path):
+    # 70 states, sparse rows whose zeros are partly -0.0, and labels that
+    # json escapes; the file must be exactly what json.dumps writes.
+    rng = np.random.default_rng(11)
+    n = 70
+    rows = np.where(rng.random((n, n)) < 0.1, rng.random((n, n)), 0.0)
+    rows[:, 0] += 1.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    rows[rows == 0.0] = np.where(rng.random(int((rows == 0.0).sum())) < 0.5, -0.0, 0.0)
+    labels = [f"s{i}" for i in range(n - 3)] + ['say "hi"', "caf\u00e9", "tab\there"]
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps(
+        {"labels": labels, "rows": rows.tolist(), "kernel": [0.25, 0.75]}, indent=2
+    ))
+    model = load_model(source)
+    assert np.signbit(model.matrix.rows[model.matrix.rows == 0.0]).any()
+    path = tmp_path / "model.json"
+    text = save_model(model, path)
+    old = json.dumps(model_to_json_dict(model), indent=2) + "\n"
+    assert "-0.0" in old and "\\u00e9" in old
+    assert path.read_text(encoding="utf-8") == text == old

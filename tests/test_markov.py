@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lamp_entropy import (
     DimensionMismatchError,
     DuplicateLabelError,
     InvalidInitStateError,
+    InvalidProbabilityError,
     NegativeEntryError,
     NonSquareError,
     NotIrreducibleError,
@@ -24,6 +28,9 @@ from lamp_entropy import (
     stationary_distribution,
     validate_stochastic,
 )
+from lamp_entropy.markov import EncodedJSON, encode_json
+
+NAN, INF = float("nan"), float("inf")
 
 # Hand-solved fixed point of [[0.5, 0.5], [1, 0]]: pi = pi P gives
 # pi_0 = 0.5 pi_0 + pi_1 and pi_0 + pi_1 = 1, so pi = (2/3, 1/3).
@@ -71,6 +78,23 @@ class TestValidateStochastic:
     def test_tiny_deviation_renormalised(self):
         P = validate_stochastic([[0.5, 0.5 + 1e-12], [1.0, 0.0]], ["a", "b"])
         assert abs(P.rows[0].sum() - 1.0) < 1e-15
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[NAN, NAN], [0.5, 0.5]], [[NAN, 1.0], [0.5, 0.5]], [[INF, 0.0], [0.5, 0.5]],
+         [[-INF, 1.0], [0.5, 0.5]]],
+    )
+    def test_non_finite_rejected(self, rows):
+        with pytest.raises(InvalidProbabilityError):
+            validate_stochastic(rows, ["a", "b"])
+        with pytest.raises(InvalidProbabilityError):
+            TransitionMatrix(StateSpace(("a", "b")), np.array(rows))
+
+
+@pytest.mark.parametrize("probs", [[NAN, 1.0], [NAN, NAN], [INF, 0.0]])
+def test_stationary_distribution_rejects_non_finite(probs):
+    with pytest.raises(InvalidProbabilityError):
+        StationaryDistribution(StateSpace(("a", "b")), np.array(probs))
 
 
 class TestStationaryDistribution:
@@ -214,6 +238,25 @@ class TestMatrixIO:
         assert back.labels == P.labels
         assert np.allclose(back.rows, P.rows, atol=1e-15)
 
+    def test_json_with_nan_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"labels": ["a", "b"], "rows": [[NAN, 1.0], [0.5, 0.5]]}))
+        assert "NaN" in path.read_text()
+        with pytest.raises(InvalidProbabilityError):
+            load_matrix_json(path)
+
+    def test_json_bytes_are_json_dumps(self, tmp_path):
+        rows = np.zeros((70, 70))
+        rows[:, 0] = 0.3
+        rows[:, 1:8] = 0.1
+        rows[3, 9] = -0.0
+        labels = [f"s{i}" for i in range(68)] + ['"q"', "\u00e9\\"]
+        P = TransitionMatrix(StateSpace(tuple(labels)), rows)
+        path = tmp_path / "m.json"
+        save_matrix_json(P, path)
+        old = {"labels": labels, "rows": P.rows.tolist()}
+        assert path.read_text(encoding="utf-8") == json.dumps(old, indent=2) + "\n"
+
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
         P = random_ergodic(3, rng)
@@ -228,3 +271,67 @@ def test_is_irreducible():
     assert is_irreducible(validate_stochastic([[0.0, 1.0], [1.0, 0.0]], ["a", "b"]))
     assert not is_irreducible(validate_stochastic([[1.0, 0.0], [0.0, 1.0]], ["a", "b"]))
     assert not is_irreducible(validate_stochastic([[0.5, 0.5], [0.0, 1.0]], ["a", "b"]))
+
+
+def plain(value):
+    """``value`` as json.dumps takes it: arrays as lists, embedded text parsed."""
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, EncodedJSON):
+        return json.loads(value.text)
+    return value
+
+
+# Floats whose text is easy to get wrong: signed zero, the smallest
+# subnormal, exponent forms and a value that needs 17 digits.
+TRICKY_FLOATS = [0.0, -0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 1.0, 0.5]
+# Quotes, backslashes, control and non-ASCII characters, plus any text.
+labels_st = st.text(
+    alphabet=st.sampled_from('ab"\\/\n\t\u00e9\u2603\U0001f600\x00 '), max_size=6
+) | st.text(max_size=4)
+floats_st = st.sampled_from(TRICKY_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+non_finite_st = st.sampled_from([NAN, INF, -INF])
+arrays_st = (
+    arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 4)), elements=floats_st)
+    | arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 3)),
+             elements=floats_st | non_finite_st)
+    | arrays(np.float64, st.integers(0, 4), elements=floats_st | non_finite_st)
+)
+leaves_st = st.none() | st.booleans() | st.integers() | floats_st | st.floats() | labels_st
+documents_st = st.recursive(
+    leaves_st | arrays_st,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(labels_st, children, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestEncodeJson:
+    @settings(max_examples=300, deadline=None)
+    @given(documents_st)
+    @example({"labels": ["é", '"quoted"', "back\\slash"], "rows": np.array([[1.0]]), "empty": []})
+    @example({"rows": np.array([TRICKY_FLOATS, TRICKY_FLOATS[::-1]])})
+    @example(np.array([[NAN, 1.0], [INF, -INF]]))
+    def test_matches_json_dumps(self, doc):
+        assert encode_json(doc) == json.dumps(plain(doc), indent=2) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(documents_st, documents_st, labels_st)
+    def test_embedded_text_is_reindented(self, inner, outer, key):
+        doc = {key: EncodedJSON(encode_json(inner)), "rest": [outer]}
+        assert encode_json(doc) == json.dumps(plain(doc), indent=2) + "\n"
+
+    def test_tricky_matrix_entries(self):
+        rows = np.array([TRICKY_FLOATS])
+        text = encode_json({"rows": rows})
+        assert [line.strip(" ,") for line in text.splitlines()[3:-3]] == [
+            "0.0", "-0.0", "5e-324", "1e-300", "1e+16", "0.30000000000000004", "1.0", "0.5"
+        ]
+
+    def test_non_string_key_rejected(self):
+        with pytest.raises(TypeError):
+            encode_json({1: 2})
