@@ -267,12 +267,14 @@ def _cmd_entropy(args, config: RunConfig) -> None:
 
 
 def _cmd_sweep(args, config: RunConfig) -> None:
-    corpus, info = _preprocessed_corpus(args)
     if args.model_kind == "lamp" and args.k is None:
         raise ConfigError("--model-kind lamp needs --k")
     i_max = args.i_max if args.i_max is not None else (50 if args.model_kind == "lamp" else 25)
     if args.i_min < 1 or i_max < args.i_min:
         raise ConfigError(f"invalid exponent range {args.i_min}..{i_max}")
+    if 2.0**-i_max == 0.0:
+        raise ConfigError(f"--i-max {i_max} gives p = 2**-{i_max}, which is 0.0 in floating point")
+    corpus, info = _preprocessed_corpus(args)
     result = sweep_p_artificial(
         corpus,
         kind=args.model_kind,

@@ -91,3 +91,7 @@ class LagTooLargeError(LampError):
 
 class ConfigError(LampError):
     """Invalid command-line configuration."""
+
+
+class IllConditionedError(LampError):
+    """A solve lost too much accuracy for its result to be trusted."""

@@ -3,9 +3,10 @@
 Three empirical estimators work on raw symbol frequencies; the plug-in
 estimators substitute fitted transition matrices (first-order or
 lag-mixture) into the closed-form entropy rate after conditioning the
-matrix to be irreducible. The sweep re-conditions one fitted matrix at
-``p = 2**-i`` over a range of exponents and looks for the plateau where
-the estimate stabilises.
+matrix to be irreducible (under an artificial state, through
+:func:`induced_entropy_rates`). The sweep conditions one fitted matrix at
+``p = 2**-i`` over a range of exponents, sharing the block set-up across
+them, and looks for the plateau where the estimate stabilises.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ from enum import Enum
 
 import numpy as np
 
-from .conditioning import Induced, LargestCC, apply_conditioning
+from .conditioning import (
+    Induced,
+    LargestCC,
+    apply_conditioning,
+    conditioning_report,
+    induced_entropy_rates,
+)
 from .corpus import SequenceCorpus
 from .errors import (
     EmptyCorpusError,
@@ -155,8 +162,7 @@ def markov_plugin_estimate(
 ) -> EntropyReport:
     """Entropy rate of the first-order fit after conditioning."""
     fitted = fit_first_order(corpus, smoothing=0.0)
-    conditioned, report = apply_conditioning(fitted, conditioning)
-    pi = stationary_distribution(conditioned)
+    bits, report = _conditioned_rate(fitted, conditioning)
     method = (
         EstimatorMethod.MARKOV_LARGEST_CC
         if isinstance(conditioning, LargestCC)
@@ -164,10 +170,21 @@ def markov_plugin_estimate(
     )
     return EntropyReport(
         method,
-        entropy_rate(conditioned, pi),
+        bits,
         conditioning=report,
         preprocessing=preprocessing,
     )
+
+
+def _conditioned_rate(
+    matrix: TransitionMatrix, conditioning: LargestCC | Induced
+) -> tuple[float, dict]:
+    """Entropy rate after conditioning, and the conditioning report."""
+    if isinstance(conditioning, Induced):
+        bits = induced_entropy_rates(matrix, [conditioning.p_artificial])[0]
+        return bits, conditioning_report(conditioning, matrix.n, matrix.n + 1)
+    conditioned, report = apply_conditioning(matrix, conditioning)
+    return entropy_rate(conditioned, stationary_distribution(conditioned)), report
 
 
 def lamp_plugin_estimate(
@@ -191,8 +208,7 @@ def lamp_plugin_estimate(
     if tol is not None:
         kwargs["tol"] = tol
     fit = fit_lamp_em(corpus, k, init=init, **kwargs)
-    conditioned, report = apply_conditioning(fit.model.matrix, conditioning)
-    pi = stationary_distribution(conditioned)
+    bits, report = _conditioned_rate(fit.model.matrix, conditioning)
     method = (
         EstimatorMethod.LAMP_LARGEST_CC
         if isinstance(conditioning, LargestCC)
@@ -200,7 +216,7 @@ def lamp_plugin_estimate(
     )
     return EntropyReport(
         method,
-        entropy_rate(conditioned, pi),
+        bits,
         conditioning=report,
         preprocessing=preprocessing,
         details={
@@ -248,12 +264,7 @@ def sweep_p_artificial(
     exponents = tuple(int(i) for i in exponents)
     if not exponents:
         raise ValueError("exponent range is empty")
-    raw = []
-    for i in exponents:
-        conditioned, _ = apply_conditioning(fitted, Induced(2.0**-i))
-        pi = stationary_distribution(conditioned)
-        raw.append(entropy_rate(conditioned, pi))
-    raw_t = tuple(raw)
+    raw_t = tuple(induced_entropy_rates(fitted, [2.0**-i for i in exponents]))
     result = SweepResult(
         exponents,
         raw_t,

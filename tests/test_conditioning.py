@@ -1,22 +1,37 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamp_entropy import (
     ARTIFICIAL_STATE_LABEL,
     DegenerateComponentError,
+    IllConditionedError,
     Induced,
     InvalidProbabilityError,
+    LampError,
     LargestCC,
+    SequenceCorpus,
     apply_conditioning,
     entropy_rate,
+    fit_first_order,
+    fit_lamp_em,
     induce_irreducibility,
+    induced_entropy_rates,
     is_irreducible,
+    lamp_plugin_estimate,
+    markov_plugin_estimate,
+    preprocess,
     restrict_to_largest_scc,
     stationary_distribution,
     strongly_connected_components,
     validate_stochastic,
 )
 
+from test_cli import pinned_corpus_text
 from test_markov import random_ergodic
 
 
@@ -89,6 +104,51 @@ class TestStronglyConnectedComponents:
             assert len(best) == max(sizes)
             ties = [c for c in part.components if len(c) == len(best)]
             assert min(best) == min(min(c) for c in ties)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from([0.0, 0.0, 0.05, 0.2, 1.0]), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+    )
+    def test_matches_floyd_warshall_with_threshold(self, weights, edge_threshold):
+        # Rows with no weight become self-loops; a threshold can still
+        # leave states with no edge at all, including n == 1.
+        raw = np.array(weights)
+        empty = raw.sum(axis=1) == 0.0
+        raw[empty, empty] = 1.0
+        raw /= raw.sum(axis=1, keepdims=True)
+        P = validate_stochastic(raw, [f"s{i}" for i in range(len(raw))])
+        part = strongly_connected_components(P, edge_threshold=edge_threshold)
+        assert set(part.components) == scc_oracle(P.rows > edge_threshold)
+        assert sorted(v for c in part.components for v in c) == list(range(P.n))
+        for cid, members in enumerate(part.components):
+            assert all(part.component_of[v] == cid for v in members)
+        best = part.components[part.largest_id]
+        ties = [c for c in part.components if len(c) == len(best)]
+        assert len(best) == max(len(c) for c in part.components)
+        assert min(best) == min(min(c) for c in ties)
+
+    def test_single_state_and_isolated_states(self):
+        one = validate_stochastic([[1.0]], ["a"])
+        for threshold in (0.0, 0.5, 1.0):
+            part = strongly_connected_components(one, edge_threshold=threshold)
+            assert part.components == (frozenset({0}),)
+            assert part.largest_id == 0
+        # Above the threshold only 0 -> 1 -> 0 survives; 2 and 3 are isolated.
+        P = validate_stochastic(
+            [[0.1, 0.9, 0.0, 0.0], [0.8, 0.2, 0.0, 0.0], [0.25] * 4, [0.25] * 4],
+            list("abcd"),
+        )
+        part = strongly_connected_components(P, edge_threshold=0.5)
+        assert set(part.components) == {frozenset({0, 1}), frozenset({2}), frozenset({3})}
+        assert part.components[part.largest_id] == frozenset({0, 1})
 
 
 class TestRestrictToLargestScc:
@@ -206,3 +266,147 @@ class TestApplyConditioning:
         assert report["p_artificial"] == 2.0**-15
         assert report["excluded"] == 0
         assert (report["n_before"], report["n_after"]) == (2, 3)
+
+
+def oracle_induced_rate(rows, i: int) -> float:
+    """Entropy rate of the induced chain at p = 2**-i in 60-digit arithmetic.
+
+    Rows are renormalised exactly in mpmath; the (n+1)-state chain is
+    built and its stationary law solved directly, independently of the
+    block formulas under test.
+    """
+    with mpmath.workdps(60):
+        P = []
+        for row in np.asarray(rows, dtype=float).tolist():
+            entries = [mpmath.mpf(x) for x in row]
+            total = mpmath.fsum(entries)
+            P.append([x / total for x in entries])
+        n = len(P)
+        p = mpmath.mpf(2) ** -i
+        Q = [[(1 - p) * x for x in row] + [p] for row in P]
+        Q.append([mpmath.mpf(1) / n] * n + [mpmath.mpf(0)])
+        size = n + 1
+        # pi (Q - I) = 0 transposed, with the last equation sum(pi) = 1.
+        a = mpmath.matrix(size, size)
+        for r in range(size):
+            for j in range(size):
+                a[j, r] = Q[r][j] - (1 if r == j else 0)
+            a[size - 1, r] = 1
+        b = mpmath.matrix(size, 1)
+        b[size - 1] = 1
+        pi = mpmath.lu_solve(a, b)
+        return float(
+            -mpmath.fsum(
+                pi[r] * mpmath.fsum(q * mpmath.log(q, 2) for q in Q[r] if q > 0)
+                for r in range(size)
+            )
+        )
+
+
+def conditioned_rate(matrix, p):
+    conditioned, _ = apply_conditioning(matrix, Induced(p))
+    return entropy_rate(conditioned, stationary_distribution(conditioned))
+
+
+def two_closed_classes():
+    """24 states, shuffled: a 14-state transient block that leaks into a
+    6-state and a 4-state closed class."""
+    rng = np.random.default_rng(2024)
+    rows = np.zeros((24, 24))
+    rows[:14, :14] = rng.random((14, 14))
+    rows[:14, 14:] = 0.02 * rng.random((14, 10))
+    rows[14:20, 14:20] = rng.random((6, 6))
+    rows[20:, 20:] = rng.random((4, 4))
+    perm = rng.permutation(24)
+    rows = rows[np.ix_(perm, perm)]
+    return validate_stochastic(rows / rows.sum(axis=1, keepdims=True), [f"s{i}" for i in range(24)])
+
+
+def nearly_decomposable():
+    """A 14-state transient block whose rows each leak 1e-13 into a closed
+    6-state block."""
+    rng = np.random.default_rng(7)
+    rows = np.zeros((20, 20))
+    block = rng.random((14, 14))
+    rows[:14, :14] = (1 - 1e-13) * block / block.sum(axis=1, keepdims=True)
+    rows[:14, 14:] = 1e-13 / 6
+    rows[14:, 14:] = rng.random((6, 6))
+    return validate_stochastic(rows / rows.sum(axis=1, keepdims=True), [f"s{i}" for i in range(20)])
+
+
+def pinned_corpus():
+    lines = pinned_corpus_text().splitlines()
+    cleaned, _ = preprocess(SequenceCorpus.from_sequences([line.split() for line in lines]), 3)
+    return cleaned
+
+
+class TestInducedEntropyRates:
+    def test_two_closed_classes_match_oracle(self):
+        P = two_closed_classes()
+        exponents = [1, 10, 25, 40, 50, 54, 60]
+        rates = induced_entropy_rates(P, [2.0**-i for i in exponents])
+        for i, rate in zip(exponents, rates):
+            assert abs(rate - oracle_induced_rate(P.rows, i)) < 1e-12, i
+
+    def test_periodic_cycle_matches_oracle(self):
+        P = validate_stochastic(np.roll(np.eye(6), 1, axis=1), list("abcdef"))
+        exponents = [1, 5, 20, 50]
+        rates = induced_entropy_rates(P, [2.0**-i for i in exponents])
+        for i, rate in zip(exponents, rates):
+            assert abs(rate - oracle_induced_rate(P.rows, i)) < 1e-12, i
+
+    def test_single_state_is_binary_entropy(self):
+        P = validate_stochastic([[1.0]], ["a"])
+        exponents = [1, 10, 50, 54, 80, 1074]
+        rates = induced_entropy_rates(P, [2.0**-i for i in exponents])
+        for i, rate in zip(exponents, rates):
+            with mpmath.workdps(60):
+                p = mpmath.mpf(2) ** -i
+                h_b = -p * mpmath.log(p, 2) - (1 - p) * mpmath.log(1 - p, 2)
+                expected = float(h_b / (1 + p))
+            # 2**-1074 makes the rate subnormal: there, allow a few ulps.
+            assert math.isclose(rate, expected, rel_tol=1e-14, abs_tol=1e-322), i
+
+    def test_nearly_decomposable_chain_raises_instead_of_guessing(self):
+        P = nearly_decomposable()
+        assert abs(induced_entropy_rates(P, [2.0**-20])[0] - oracle_induced_rate(P.rows, 20)) < 1e-9
+        with pytest.raises(IllConditionedError):
+            induced_entropy_rates(P, [2.0**-50])
+        assert issubclass(IllConditionedError, LampError)
+
+    def test_matches_conditioned_chain_on_fitted_matrices(self):
+        corpus = pinned_corpus()
+        markov = fit_first_order(corpus, smoothing=0.0)
+        lamp = fit_lamp_em(corpus, 2, max_iter=15, tol=0.0).model.matrix
+        p_values = [2.0**-i for i in range(1, 26)]
+        for matrix in (markov, lamp):
+            rates = induced_entropy_rates(matrix, p_values)
+            for p, rate in zip(p_values, rates):
+                assert abs(rate - conditioned_rate(matrix, p)) < 1e-12, p
+
+    def test_matches_conditioned_chain_on_random_reducible_chains(self):
+        rng = np.random.default_rng(91)
+        for _ in range(60):
+            P = random_digraph_matrix(rng, int(rng.integers(1, 9)))
+            for i in (1, 8, 15):
+                rate = induced_entropy_rates(P, [2.0**-i])[0]
+                assert abs(rate - conditioned_rate(P, 2.0**-i)) < 1e-11
+
+    def test_estimators_report_the_induced_conditioning(self):
+        corpus = pinned_corpus()
+        strategy = Induced(2.0**-15)
+        markov = fit_first_order(corpus, smoothing=0.0)
+        lamp = fit_lamp_em(corpus, 2, max_iter=15, tol=0.0).model.matrix
+        for report, matrix in (
+            (markov_plugin_estimate(corpus, strategy), markov),
+            (lamp_plugin_estimate(corpus, 2, strategy, max_iter=15, tol=0.0), lamp),
+        ):
+            _, expected = apply_conditioning(matrix, strategy)
+            assert report.conditioning == expected
+            assert abs(report.bits_per_symbol - conditioned_rate(matrix, 2.0**-15)) < 1e-12
+
+    def test_rejects_probabilities_outside_the_open_interval(self):
+        P = validate_stochastic([[0.5, 0.5], [1.0, 0.0]], ["a", "b"])
+        for p in (0.0, 1.0, -0.5, float("nan"), 2.0**-1075):
+            with pytest.raises(InvalidProbabilityError):
+                induced_entropy_rates(P, [0.5, p])
