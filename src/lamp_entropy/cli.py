@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .conditioning import DEFAULT_P_ARTIFICIAL, Induced, LargestCC, apply_conditioning
+from .conditioning import DEFAULT_P_ARTIFICIAL, Induced, LargestCC
 from .corpus import DEFAULT_RARE_TOKEN, load_sequences, preprocess
 from .dependence import corpus_dependency_profile, write_profile_csv
 from .errors import ConfigError, LampError
@@ -245,10 +245,9 @@ def _cmd_entropy(args, config: RunConfig) -> None:
     elif args.method == "path-level":
         report = path_level_estimate(corpus, preprocessing=info)
     elif args.method == "stationary":
-        conditioned, cond_info = apply_conditioning(
-            fit_first_order(corpus, smoothing=0.0), _conditioning(args)
+        report = stationary_distribution_estimate(
+            fit_first_order(corpus, smoothing=0.0), _conditioning(args), preprocessing=info
         )
-        report = stationary_distribution_estimate(conditioned, cond_info, preprocessing=info)
     elif args.method == "markov":
         report = markov_plugin_estimate(corpus, _conditioning(args), preprocessing=info)
     else:

@@ -4,12 +4,10 @@ Two repair strategies are provided: restricting the chain to its
 largest strongly connected component, and appending a low-probability
 artificial state that links every state to every other.
 
-The entropy rate under the artificial state is taken without building
-the (n+1)-state chain: :func:`induced_entropy_rates` solves the
-stationary law per block of the SCC condensation (one solve over the
-transient states, one bordered solve per closed class), set up once for
-any number of weights, and certifies each value by a closed-form mass
-identity or raises :class:`IllConditionedError`.
+The entropy rate and the stationary law under the artificial state
+come from the block solve of :mod:`lamp_entropy.markov`, without
+building the (n+1)-state chain; :func:`induce_irreducibility` builds it
+for callers that want the matrix itself.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateComponentError, IllConditionedError, InvalidProbabilityError
-from .markov import STATIONARY_RESIDUAL_TOL, StateSpace, TransitionMatrix
+from .markov import STATIONARY_RESIDUAL_TOL, StateSpace, TransitionMatrix, _Blocks, _edges, _tarjan
 
 ARTIFICIAL_STATE_LABEL = "__artificial__"
 DEFAULT_P_ARTIFICIAL = 2.0**-15
@@ -58,71 +56,10 @@ def strongly_connected_components(
     """
     if edge_threshold < 0:
         raise ValueError("edge_threshold must be >= 0")
-    sources, targets = np.nonzero(matrix.rows > edge_threshold)
-    components, component_of = _tarjan(matrix.n, sources, targets)
+    components, component_of = _tarjan(*_edges(matrix.rows, edge_threshold))
     frozen = tuple(frozenset(members) for members in components)
     best = max(range(len(frozen)), key=lambda c: (len(frozen[c]), -min(frozen[c])))
     return SccPartition(frozen, dict(enumerate(component_of)), best)
-
-
-def _tarjan(n: int, sources: np.ndarray, targets: np.ndarray) -> tuple[list[list[int]], list[int]]:
-    """Iterative Tarjan over the edges ``sources[e] -> targets[e]``.
-
-    The edges must be sorted by source, as ``np.nonzero`` returns them.
-    Returns the components in the order Tarjan completes them (every
-    edge leaving a component points into an earlier one) and the
-    component id of each state.
-    """
-    starts = np.searchsorted(sources, np.arange(n + 1)).tolist()
-    targets = targets.tolist()
-    order = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    component_of = [0] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if order[root] != -1:
-            continue
-        work = [(root, starts[root])]
-        while work:
-            v, next_edge = work[-1]
-            if order[v] == -1:
-                order[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for e in range(next_edge, starts[v + 1]):
-                w = targets[e]
-                if order[w] == -1:
-                    work[-1] = (v, e + 1)
-                    work.append((w, starts[w]))
-                    descended = True
-                    break
-                if on_stack[w] and low[w] < low[v]:
-                    low[v] = low[w]
-            if descended:
-                continue
-            if low[v] == order[v]:
-                cid = len(components)
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component_of[w] = cid
-                    members.append(w)
-                    if w == v:
-                        break
-                components.append(members)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-    return components, component_of
 
 
 def restrict_to_largest_scc(
@@ -185,15 +122,9 @@ def induced_entropy_rates(matrix: TransitionMatrix, p_values) -> list[float]:
     ``[c·x·h + h_b(p) + p·log2 n] / (1 + p)``, where ``h`` holds the
     row entropies and ``h_b`` is the binary entropy.
 
-    ``x`` is solved per block of the SCC condensation, set up once for
-    all ``p``. Transient states ``T`` (their component has an edge
-    leaving it) take one solve ``z_T = u_T(I - cP_TT)^-1 = x_T/p``. A
-    closed class ``C`` then holds mass ``m_C = |C|/n + c·z_T·P_TC·1`` in
-    closed form, and ``x_C`` comes from ``x_C(I - cP_CC) =
-    p(u_C + c·z_T·P_TC)`` with its last equation replaced by
-    ``sum(x_C) = m_C``, which stays well conditioned however small
-    ``p`` is. The identity ``p·sum(z_T) + sum_C m_C = 1`` certifies the
-    transient solve, whose error grows as ``eps/(p + leak)`` for a
+    ``x`` comes from the block solve of :func:`~.markov.stationary_distribution`
+    (set up once for all ``p``), certified by ``p·sum(z_T) + sum_C m_C
+    = 1``. The transient solve's error grows as ``eps/(p + leak)`` for a
     transient block that leaks out of itself slowly: when the identity
     is off by more than ``STATIONARY_RESIDUAL_TOL`` this raises
     :class:`IllConditionedError` instead of returning a number.
@@ -201,55 +132,17 @@ def induced_entropy_rates(matrix: TransitionMatrix, p_values) -> list[float]:
     p_values = [float(p) for p in p_values]
     for p in p_values:
         _check_p_artificial(p)
-    rows = matrix.rows
-    n = matrix.n
-    sources, targets = np.nonzero(rows > 0.0)
-    probs = rows[sources, targets]
-    h = np.bincount(sources, weights=-probs * np.log2(probs), minlength=n)
-    components, component_of = _tarjan(n, sources, targets)
-    label = np.array(component_of)
-    leaves = label[sources] != label[targets]
-    is_open = np.zeros(len(components), dtype=bool)
-    is_open[label[sources[leaves]]] = True
-    transient = np.flatnonzero(is_open[label])
-    closed = [np.sort(members) for cid, members in enumerate(components) if not is_open[cid]]
-
-    # Transposed blocks: x·A = b is solved as A^T·x = b.
-    t = transient.size
-    if t:
-        p_tt = rows[np.ix_(transient, transient)].T
-        p_tc = rows[np.ix_(transient, np.concatenate(closed))]
-        h_t = h[transient]
-    blocks = []
-    start = 0
-    for members in closed:
-        stop = start + members.size
-        p_cc = rows.T if members.size == n else rows[np.ix_(members, members)].T
-        blocks.append((slice(start, stop), p_cc, h[members]))
-        start = stop
-
-    u = 1.0 / n
-    log2_n = math.log2(n)
+    blocks = _Blocks(matrix.rows)
+    h_t = blocks.h[blocks.transient]
+    h_closed = [blocks.h[members] for members, _, _ in blocks.closed]
+    log2_n = math.log2(matrix.n)
     rates = []
     for p in p_values:
+        z_t, x_closed, mass = blocks.solve(p)
+        xh = 0.0 if z_t is None else p * (z_t @ h_t)
+        for x_c, h_c in zip(x_closed, h_closed):
+            xh += x_c @ h_c
         c = 1.0 - p
-        if t:
-            z_t = _solve(_identity_minus(c, p_tt), np.full(t, u))
-            inflow = c * (z_t @ p_tc)
-            mass = p * z_t.sum()
-            xh = p * (z_t @ h_t)
-        else:
-            inflow = np.zeros(n)
-            mass = xh = 0.0
-        for part, p_cc, h_c in blocks:
-            size = p_cc.shape[0]
-            m_c = size * u + inflow[part].sum()
-            a = _identity_minus(c, p_cc)
-            a[-1] = 1.0
-            b = p * (u + inflow[part])
-            b[-1] = m_c
-            xh += _solve(a, b) @ h_c
-            mass += m_c
         # c·log2(c) through log1p: exact even where 1 - p rounds to 1.
         h_b = -p * math.log2(p) - c * math.log1p(-p) / math.log(2.0)
         rate = float((c * xh + h_b + p * log2_n) / (1.0 + p))
@@ -263,22 +156,11 @@ def induced_entropy_rates(matrix: TransitionMatrix, p_values) -> list[float]:
     return rates
 
 
-def _identity_minus(c: float, block: np.ndarray) -> np.ndarray:
-    """``I - c·block`` in the block's memory layout.
-
-    The transposed blocks are Fortran-ordered; ``np.eye(n) - c * block``
-    mixes layouts and took half as long as the LU itself at 561 states.
-    """
-    a = block * -c
-    a.flat[:: a.shape[0] + 1] += 1.0
-    return a
-
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(f"singular block in the induced-chain solve: {exc}") from None
+def _induced_stationary_law(matrix: TransitionMatrix, p_artificial: float) -> np.ndarray:
+    """Stationary law of ``induce_irreducibility(matrix, p_artificial)``, from the block solve."""
+    _check_p_artificial(p_artificial)
+    x = _Blocks(matrix.rows).stationary(p_artificial)
+    return np.append(x, p_artificial) / (1.0 + p_artificial)
 
 
 def conditioning_report(strategy: LargestCC | Induced, n_before: int, n_after: int) -> dict:

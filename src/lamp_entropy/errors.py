@@ -29,10 +29,6 @@ class NotIrreducibleError(LampError):
     """The chain is reducible where irreducibility is required."""
 
 
-class NoConvergenceError(LampError):
-    """An iterative solver exhausted its iteration budget."""
-
-
 class InvalidInitStateError(LampError):
     """Simulation was asked to start from a state that does not exist."""
 

@@ -20,17 +20,13 @@ import numpy as np
 from .conditioning import (
     Induced,
     LargestCC,
+    _induced_stationary_law,
     apply_conditioning,
     conditioning_report,
     induced_entropy_rates,
 )
 from .corpus import SequenceCorpus
-from .errors import (
-    EmptyCorpusError,
-    EmptySequenceError,
-    NotADistributionError,
-    NotIrreducibleError,
-)
+from .errors import EmptyCorpusError, EmptySequenceError, NotADistributionError
 from .fitting import fit_first_order, fit_lamp_em
 from .lamp import KernelDistribution
 from .markov import (
@@ -38,7 +34,6 @@ from .markov import (
     TransitionMatrix,
     _reject_non_finite,
     entropy_rate,
-    is_irreducible,
     stationary_distribution,
 )
 
@@ -140,17 +135,28 @@ def path_level_estimate(
 
 def stationary_distribution_estimate(
     matrix: TransitionMatrix,
-    conditioning: dict | None = None,
+    conditioning: LargestCC | Induced | None = None,
     preprocessing: dict | None = None,
 ) -> EntropyReport:
-    """Entropy of the stationary distribution of an (irreducible) chain."""
-    if not is_irreducible(matrix):
-        raise NotIrreducibleError("condition the matrix before taking its stationary entropy")
-    pi = stationary_distribution(matrix)
+    """Entropy of the stationary distribution of a chain after conditioning.
+
+    With no conditioning the chain must be irreducible, or this raises
+    :class:`NotIrreducibleError`. Under :class:`Induced` the law is that
+    of the (n+1)-state chain, taken from the block solve without
+    building that chain.
+    """
+    if conditioning is None:
+        probs, report = stationary_distribution(matrix, check_irreducible=True).probs, None
+    elif isinstance(conditioning, Induced):
+        probs = _induced_stationary_law(matrix, conditioning.p_artificial)
+        report = conditioning_report(conditioning, matrix.n, matrix.n + 1)
+    else:
+        conditioned, report = apply_conditioning(matrix, conditioning)
+        probs = stationary_distribution(conditioned).probs
     return EntropyReport(
         EstimatorMethod.STATIONARY_DISTRIBUTION,
-        shannon_entropy(pi.probs),
-        conditioning=conditioning,
+        shannon_entropy(probs),
+        conditioning=report,
         preprocessing=preprocessing,
     )
 

@@ -14,12 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyHistoryError,
-    NotIrreducibleError,
-    TooShortError,
-    ZeroProbabilityError,
-)
+from .errors import EmptyHistoryError, TooShortError, ZeroProbabilityError
 from .markov import (
     _TABLE_SAMPLING_MAX_STATES,
     _check_probabilities,
@@ -27,7 +22,6 @@ from .markov import (
     _resolve_init,
     TransitionMatrix,
     entropy_rate,
-    is_irreducible,
     stationary_distribution,
     validate_stochastic,
     write_json,
@@ -159,11 +153,10 @@ def lamp_entropy_rate(model: LampModel) -> float:
     """Entropy rate of the process in bits per symbol.
 
     Equals the entropy rate of the underlying first-order chain; the
-    lag kernel does not enter the value.
+    lag kernel does not enter the value. A reducible matrix raises
+    :class:`NotIrreducibleError`.
     """
-    if not is_irreducible(model.matrix):
-        raise NotIrreducibleError("underlying transition matrix is reducible")
-    pi = stationary_distribution(model.matrix)
+    pi = stationary_distribution(model.matrix, check_irreducible=True)
     return entropy_rate(model.matrix, pi)
 
 

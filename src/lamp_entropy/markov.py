@@ -1,10 +1,10 @@
 """First-order Markov chains over a finite, labelled state space.
 
 Transition matrices are validated, immutable, row-stochastic arrays.
-The stationary distribution is obtained by a direct linear solve for
-small chains and by damped power iteration otherwise; the entropy rate
-is reported in bits per symbol throughout. Every JSON artifact of the
-package is written by :func:`encode_json`.
+Every stationary law comes from one certified solve per block of the
+SCC condensation (see :func:`stationary_distribution`); the entropy
+rate is reported in bits per symbol throughout. Every JSON artifact of
+the package is written by :func:`encode_json`.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +21,10 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DuplicateLabelError,
+    IllConditionedError,
     InvalidInitStateError,
     InvalidProbabilityError,
     NegativeEntryError,
-    NoConvergenceError,
     NonSquareError,
     NotIrreducibleError,
     RowSumError,
@@ -31,9 +33,6 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-9
 STATIONARY_RESIDUAL_TOL = 1e-8
-POWER_ITERATION_TOL = 1e-12
-POWER_ITERATION_BUDGET = 10**6
-DIRECT_SOLVE_MAX_STATES = 2000
 
 # Next-state sampling precomputes a full quantile table when the state
 # space is small; above this bound it falls back to per-step bisection.
@@ -186,101 +185,224 @@ def _reject_non_finite(values: np.ndarray, what: str) -> None:
 
 
 def is_irreducible(matrix: TransitionMatrix, edge_threshold: float = 0.0) -> bool:
-    """True when every state reaches every other via positive transitions."""
-    adj = matrix.rows > edge_threshold
-    return _reaches_all(adj, 0) and _reaches_all(adj.T, 0)
+    """True when every state reaches every other via transitions above ``edge_threshold``."""
+    return len(_tarjan(*_edges(matrix.rows, edge_threshold))[0]) == 1
 
 
-def _reaches_all(adj: np.ndarray, start: int) -> bool:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    while frontier:
-        nxt = adj[frontier].any(axis=0) & ~seen
-        frontier = np.nonzero(nxt)[0].tolist()
-        seen |= nxt
-    return bool(seen.all())
+def _edges(rows: np.ndarray, threshold: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Row starts and int32 targets of the edges ``i -> j`` with ``rows[i, j] >
+    threshold``: those leaving ``i`` are ``targets[starts[i]:starts[i + 1]]``.
+    No ``(nnz, 2)`` index buffer is alive while :func:`_tarjan` walks them.
+    """
+    n = rows.shape[0]
+    flat = np.flatnonzero(rows > threshold)
+    starts = np.searchsorted(flat, np.arange(0, n * n + 1, n))
+    np.remainder(flat, n, out=flat)
+    return starts, flat.astype(np.int32)
+
+
+def _tarjan(starts: np.ndarray, targets: np.ndarray) -> tuple[list[list[int]], list[int]]:
+    """Iterative Tarjan over the edges of :func:`_edges`.
+
+    Returns the components in the order Tarjan completes them (every
+    edge leaving a component points into an earlier one) and the
+    component id of each state. Targets are read through a memoryview:
+    a list of Python ints took about 40 bytes an edge.
+    """
+    n = starts.size - 1
+    starts = starts.tolist()
+    targets = targets.data
+    order = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    component_of = [0] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+
+    for root in range(n):
+        if order[root] != -1:
+            continue
+        work = [(root, starts[root])]
+        while work:
+            v, next_edge = work[-1]
+            if order[v] == -1:
+                order[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            for e in range(next_edge, starts[v + 1]):
+                w = targets[e]
+                if order[w] == -1:
+                    work[-1] = (v, e + 1)
+                    work.append((w, starts[w]))
+                    break
+                if on_stack[w] and low[w] < low[v]:
+                    low[v] = low[w]
+            else:  # no unvisited successor left: v is finished
+                if low[v] == order[v]:
+                    cid = len(components)
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component_of[w] = cid
+                        members.append(w)
+                        if w == v:
+                            break
+                    components.append(members)
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+    return components, component_of
+
+
+def _row_entropies(rows: np.ndarray, starts: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``-sum_j P_ij log2 P_ij`` of each row, summed over the edges of :func:`_edges`."""
+    sources = np.repeat(np.arange(rows.shape[0]), np.diff(starts))
+    probs = rows[sources, targets]
+    return np.bincount(sources, weights=-probs * np.log2(probs), minlength=rows.shape[0])
+
+
+class _Blocks:
+    """A chain's SCC condensation, set up once to solve, at any ``p``, for
+    ``x(p) = p·u(I - cP)^-1`` (``c = 1 - p``, ``u`` uniform): the law of
+    the chain that restarts uniformly with probability ``p``.
+
+    States whose component has an edge leaving it are transient (``T``),
+    the rest form closed classes. Blocks are stored transposed (``x·A =
+    b`` is solved as ``A^T·x = b``). The row entropies ``h`` are lazy.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        n = rows.shape[0]
+        self.edges = starts, targets = _edges(rows)
+        components, component_of = _tarjan(starts, targets)
+        label = np.array(component_of)
+        source_label = np.repeat(label, np.diff(starts))
+        is_open = np.zeros(len(components), dtype=bool)
+        is_open[source_label[source_label != label[targets]]] = True
+        classes = [np.sort(members) for cid, members in enumerate(components) if not is_open[cid]]
+        self.rows = rows
+        self.n_components = len(components)
+        self.transient = transient = np.flatnonzero(is_open[label])
+        if transient.size:
+            self.p_tt = rows[np.ix_(transient, transient)].T
+            self.p_tc = rows[np.ix_(transient, np.concatenate(classes))]
+        # Per class: its states, its columns of P_TC, and P_CC.
+        bounds = [0, *accumulate(members.size for members in classes)]
+        self.closed = [
+            (cls, slice(a, b), rows.T if cls.size == n else rows[np.ix_(cls, cls)].T)
+            for cls, a, b in zip(classes, bounds, bounds[1:])
+        ]
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        return _row_entropies(self.rows, *self.edges)
+
+    def solve(self, p: float) -> tuple[np.ndarray | None, list[np.ndarray], float]:
+        """``z_T`` (``x_T = p·z_T``; ``None`` when skipped), each ``x_C``,
+        and the mass ``p·sum(z_T) + sum_C m_C``, which is 1 exactly.
+
+        ``z_T = u_T(I - cP_TT)^-1``; a closed class holds ``m_C = |C|/n +
+        c·z_T·P_TC·1``, and ``x_C`` solves ``x_C(I - cP_CC) = p(u_C +
+        c·z_T·P_TC)`` with its last equation replaced by ``sum(x_C) =
+        m_C``, which stays well conditioned however small ``p`` is. At
+        ``p = 0`` this gives ``x_T = 0`` and ``x_C = m_C·π_C``; with one
+        closed class, ``m_C = 1`` and the transient solve is skipped.
+        """
+        c = 1.0 - p
+        u = 1.0 / self.rows.shape[0]
+        one_class = p == 0.0 and len(self.closed) == 1
+        t = self.transient.size
+        try:
+            if t and not one_class:
+                z_t = np.linalg.solve(_identity_minus(c, self.p_tt), np.full(t, u))
+                inflow = c * (z_t @ self.p_tc)
+                mass = p * z_t.sum()
+            else:
+                z_t, inflow, mass = None, np.zeros(self.rows.shape[0]), 0.0
+            x_closed = []
+            for _, part, p_cc in self.closed:
+                m_c = 1.0 if one_class else p_cc.shape[0] * u + inflow[part].sum()
+                a = _identity_minus(c, p_cc)
+                a[-1] = 1.0
+                b = p * (u + inflow[part])
+                b[-1] = m_c
+                x_closed.append(np.linalg.solve(a, b))
+                mass += m_c
+        except np.linalg.LinAlgError as exc:
+            raise IllConditionedError(f"singular block in the stationary solve: {exc}") from None
+        return z_t, x_closed, mass
+
+    def stationary(self, p: float) -> np.ndarray:
+        """``x(p)`` over all n states, clipped at 0 and renormalised.
+
+        Certified by the mass identity and the residual ``||x - c·xP -
+        p·u||_1``, each within ``STATIONARY_RESIDUAL_TOL``; otherwise
+        this raises :class:`IllConditionedError`.
+        """
+        z_t, x_closed, mass = self.solve(p)
+        rows = self.rows
+        x = np.zeros(rows.shape[0])
+        if z_t is not None:
+            x[self.transient] = p * z_t
+        for (members, _, _), x_c in zip(self.closed, x_closed):
+            x[members] = x_c
+        residual = float(np.abs(x - (1.0 - p) * (x @ rows) - p / rows.shape[0]).sum())
+        # NaN fails both tests, so a non-finite solve raises here too.
+        if not (abs(mass - 1.0) <= STATIONARY_RESIDUAL_TOL and residual < STATIONARY_RESIDUAL_TOL):
+            raise IllConditionedError(
+                f"stationary solve at p={p!r} failed its certificate: mass {float(mass)!r}, "
+                f"residual {residual!r} (tolerance {STATIONARY_RESIDUAL_TOL})"
+            )
+        np.maximum(x, 0.0, out=x)
+        return x / x.sum()
+
+
+def _identity_minus(c: float, block: np.ndarray) -> np.ndarray:
+    """``I - c·block`` in the block's memory layout.
+
+    The transposed blocks are Fortran-ordered; ``np.eye(n) - c * block``
+    mixes layouts and took half as long as the LU itself at 561 states.
+    """
+    a = block * -c
+    a.flat[:: a.shape[0] + 1] += 1.0
+    return a
 
 
 def stationary_distribution(
-    matrix: TransitionMatrix,
-    method: str = "auto",
-    check_irreducible: bool = False,
+    matrix: TransitionMatrix, check_irreducible: bool = False
 ) -> StationaryDistribution:
-    """Solve pi @ P == pi, sum(pi) == 1.
+    """The law ``x(0)``: ``x(0) @ P == x(0)``, ``sum(x(0)) == 1``.
 
-    ``method`` is ``"direct"`` (linear solve), ``"power"`` (damped power
-    iteration) or ``"auto"``, which solves directly up to
-    ``DIRECT_SOLVE_MAX_STATES`` states. Both paths are deterministic.
+    On an irreducible chain this is its stationary distribution; on a
+    reducible one, the limit from a uniform start (time-averaged if the
+    chain is periodic), ``lim (1/T)·sum_{t<T} u·P^t``: zero on transient
+    states and ``a_C·π_C`` on each closed class ``C``, with ``a_C`` the
+    probability of ending in ``C``. Solved per SCC block; if the mass
+    identity ``sum_C a_C = 1`` or the residual ``||xP - x||_1`` is off by
+    ``STATIONARY_RESIDUAL_TOL`` or more, this raises
+    :class:`IllConditionedError`. With ``check_irreducible``, a reducible
+    chain raises :class:`NotIrreducibleError`.
     """
-    if check_irreducible and not is_irreducible(matrix):
+    blocks = _Blocks(matrix.rows)
+    if check_irreducible and blocks.n_components > 1:
         raise NotIrreducibleError("transition matrix is reducible")
-    if method == "auto":
-        method = "direct" if matrix.n <= DIRECT_SOLVE_MAX_STATES else "power"
-    if method == "direct":
-        probs = _stationary_direct(matrix.rows)
-        if probs is None or _residual(probs, matrix.rows) >= STATIONARY_RESIDUAL_TOL:
-            probs = _stationary_power(matrix.rows)
-    elif method == "power":
-        probs = _stationary_power(matrix.rows)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return StationaryDistribution(matrix.states, probs)
-
-
-def _residual(probs: np.ndarray, rows: np.ndarray) -> float:
-    return float(np.abs(probs @ rows - probs).sum())
-
-
-def _stationary_direct(rows: np.ndarray) -> np.ndarray | None:
-    n = rows.shape[0]
-    a = rows.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(pi).all():
-        return None
-    pi = np.clip(pi, 0.0, None)
-    total = pi.sum()
-    if total <= 0:
-        return None
-    return pi / total
-
-
-def _stationary_power(rows: np.ndarray) -> np.ndarray:
-    # Damp with the half-lazy chain (P + I)/2: same fixed point, and the
-    # iteration converges even for periodic chains.
-    n = rows.shape[0]
-    lazy = 0.5 * (rows + np.eye(n))
-    pi = np.full(n, 1.0 / n)
-    for _ in range(POWER_ITERATION_BUDGET):
-        nxt = pi @ lazy
-        if np.abs(nxt - pi).sum() < POWER_ITERATION_TOL:
-            nxt = np.clip(nxt, 0.0, None)
-            return nxt / nxt.sum()
-        pi = nxt
-    raise NoConvergenceError(
-        f"power iteration did not converge within {POWER_ITERATION_BUDGET} steps"
-    )
+    return StationaryDistribution(matrix.states, blocks.stationary(0.0))
 
 
 def entropy_rate(matrix: TransitionMatrix, stationary: StationaryDistribution) -> float:
     """Entropy rate of the stationary chain, in bits per symbol.
 
-    Computes ``-sum_i pi_i sum_j P_ij log2 P_ij`` with the convention
-    that ``0 * log 0 == 0``.
+    Computes ``-sum_i pi_i sum_j P_ij log2 P_ij`` over the nonzero
+    entries, so that ``0 * log 0 == 0``.
     """
     if stationary.states.labels != matrix.states.labels:
         raise DimensionMismatchError("stationary distribution is for a different state space")
-    rows = matrix.rows
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(rows > 0.0, rows * np.log2(np.where(rows > 0.0, rows, 1.0)), 0.0)
-    value = float(-(stationary.probs @ plogp.sum(axis=1)))
+    value = float(stationary.probs @ _row_entropies(matrix.rows, *_edges(matrix.rows)))
     return value if value > 0.0 else 0.0
 
 

@@ -27,12 +27,13 @@ from lamp_entropy import (
     preprocess,
     restrict_to_largest_scc,
     stationary_distribution,
+    stationary_distribution_estimate,
     strongly_connected_components,
     validate_stochastic,
 )
 
 from test_cli import pinned_corpus_text
-from test_markov import random_ergodic
+from test_markov import PERIODIC_TWO_CYCLE, random_ergodic
 
 
 def scc_oracle(adjacency: np.ndarray):
@@ -268,39 +269,78 @@ class TestApplyConditioning:
         assert (report["n_before"], report["n_after"]) == (2, 3)
 
 
-def oracle_induced_rate(rows, i: int) -> float:
-    """Entropy rate of the induced chain at p = 2**-i in 60-digit arithmetic.
+def _oracle_induced_law(rows, i: int):
+    """The induced chain at p = 2**-i and its stationary law, in mpmath.
 
     Rows are renormalised exactly in mpmath; the (n+1)-state chain is
     built and its stationary law solved directly, independently of the
-    block formulas under test.
+    block formulas under test. Call inside ``mpmath.workdps(60)``.
     """
+    P = []
+    for row in np.asarray(rows, dtype=float).tolist():
+        entries = [mpmath.mpf(x) for x in row]
+        total = mpmath.fsum(entries)
+        P.append([x / total for x in entries])
+    n = len(P)
+    p = mpmath.mpf(2) ** -i
+    Q = [[(1 - p) * x for x in row] + [p] for row in P]
+    Q.append([mpmath.mpf(1) / n] * n + [mpmath.mpf(0)])
+    size = n + 1
+    # pi (Q - I) = 0 transposed, with the last equation sum(pi) = 1.
+    a = mpmath.matrix(size, size)
+    for r in range(size):
+        for j in range(size):
+            a[j, r] = Q[r][j] - (1 if r == j else 0)
+        a[size - 1, r] = 1
+    b = mpmath.matrix(size, 1)
+    b[size - 1] = 1
+    return Q, mpmath.lu_solve(a, b)
+
+
+def oracle_induced_rate(rows, i: int) -> float:
+    """Entropy rate of the induced chain at p = 2**-i in 60-digit arithmetic."""
     with mpmath.workdps(60):
-        P = []
-        for row in np.asarray(rows, dtype=float).tolist():
-            entries = [mpmath.mpf(x) for x in row]
-            total = mpmath.fsum(entries)
-            P.append([x / total for x in entries])
-        n = len(P)
-        p = mpmath.mpf(2) ** -i
-        Q = [[(1 - p) * x for x in row] + [p] for row in P]
-        Q.append([mpmath.mpf(1) / n] * n + [mpmath.mpf(0)])
-        size = n + 1
-        # pi (Q - I) = 0 transposed, with the last equation sum(pi) = 1.
-        a = mpmath.matrix(size, size)
-        for r in range(size):
-            for j in range(size):
-                a[j, r] = Q[r][j] - (1 if r == j else 0)
-            a[size - 1, r] = 1
-        b = mpmath.matrix(size, 1)
-        b[size - 1] = 1
-        pi = mpmath.lu_solve(a, b)
+        Q, pi = _oracle_induced_law(rows, i)
         return float(
             -mpmath.fsum(
                 pi[r] * mpmath.fsum(q * mpmath.log(q, 2) for q in Q[r] if q > 0)
-                for r in range(size)
+                for r in range(len(Q))
             )
         )
+
+
+def oracle_induced_law_entropy(rows, i: int) -> float:
+    """Entropy of the induced chain's stationary law at p = 2**-i, 60 digits."""
+    with mpmath.workdps(60):
+        _, pi = _oracle_induced_law(rows, i)
+        return float(-mpmath.fsum(x * mpmath.log(x, 2) for x in pi if x > 0))
+
+
+def oracle_stationary(P):
+    """``sum_C a_C·π_C`` over the closed classes that ``scc_oracle`` finds.
+
+    ``π_C`` is the least-squares solution of ``[P_CC^T - I; 1]·π = [0;
+    1]``; ``a_C``, the probability that the chain started uniformly ends
+    in ``C``, comes from one solve with the fundamental matrix
+    ``(I - P_TT)^-1`` over the remaining (transient) states.
+    """
+    rows, n = P.rows, P.n
+    closed = []
+    for component in scc_oracle(rows > 0):
+        members = sorted(component)
+        outside = [j for j in range(n) if j not in component]
+        if not (rows[np.ix_(members, outside)] > 0).any():
+            closed.append(members)
+    transient = sorted(set(range(n)) - {j for members in closed for j in members})
+    leak = np.array([rows[np.ix_(transient, members)].sum(axis=1) for members in closed]).T
+    absorbed = np.linalg.solve(np.eye(len(transient)) - rows[np.ix_(transient, transient)], leak)
+    x = np.zeros(n)
+    for k, members in enumerate(closed):
+        size = len(members)
+        a = np.vstack([rows[np.ix_(members, members)].T - np.eye(size), np.ones(size)])
+        pi = np.linalg.lstsq(a, np.eye(size + 1)[-1], rcond=None)[0]
+        x[members] = (size + absorbed[:, k].sum()) / n * pi
+    return x
 
 
 def conditioned_rate(matrix, p):
@@ -334,10 +374,92 @@ def nearly_decomposable():
     return validate_stochastic(rows / rows.sum(axis=1, keepdims=True), [f"s{i}" for i in range(20)])
 
 
+def two_closed_classes_2100():
+    """2,100 sparse states, shuffled: 100 transient states, each moving
+    within its block with probability 1/2, into a 1,200-state closed class
+    with 3/8 and into an 800-state one with 1/8, so that a chain started
+    there ends in the larger class with probability 3/4."""
+    rng = np.random.default_rng(2100)
+    sizes = {"T": 100, "A": 1200, "B": 800}
+    start = {"T": 0, "A": 100, "B": 1300}
+    rows = np.zeros((2100, 2100))
+
+    def spread(i, block, weight, count):
+        for j in rng.integers(0, sizes[block], size=count):
+            rows[i, start[block] + j] += weight / count
+
+    for block in ("A", "B"):
+        for k in range(sizes[block]):  # a cycle through the class makes it irreducible
+            i = start[block] + k
+            rows[i, start[block] + (k + 1) % sizes[block]] = 0.5
+            spread(i, block, 0.5, 4)
+    for i in range(sizes["T"]):
+        spread(i, "T", 0.5, 4)
+        spread(i, "A", 0.375, 3)
+        spread(i, "B", 0.125, 1)
+    perm = rng.permutation(2100)
+    P = validate_stochastic(rows[np.ix_(perm, perm)], [f"s{i}" for i in range(2100)])
+    where = np.argsort(perm)
+    return P, {block: where[start[block] : start[block] + size] for block, size in sizes.items()}
+
+
 def pinned_corpus():
     lines = pinned_corpus_text().splitlines()
     cleaned, _ = preprocess(SequenceCorpus.from_sequences([line.split() for line in lines]), 3)
     return cleaned
+
+
+class TestStationaryDistribution:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=8))
+    def test_matches_absorption_oracle_on_random_chains(self, seed, n):
+        P = random_digraph_matrix(np.random.default_rng(seed), n)
+        pi = stationary_distribution(P).probs
+        assert np.abs(pi - oracle_stationary(P)).max() < 1e-10
+
+    def test_matches_absorption_oracle_on_fixed_chains(self):
+        rng = np.random.default_rng(5)
+        chains = [random_ergodic(n, rng) for n in (2, 3, 7)]
+        chains += [PERIODIC_TWO_CYCLE, two_closed_classes()]
+        for P in chains:
+            pi = stationary_distribution(P).probs
+            assert np.abs(pi - oracle_stationary(P)).max() < 1e-12
+
+    def test_two_closed_classes_beyond_2000_states(self):
+        P, blocks = two_closed_classes_2100()
+        pi = stationary_distribution(P).probs
+        assert np.abs(pi @ P.rows - pi).sum() < 1e-12
+        assert pi[blocks["T"]].max() == 0.0
+        masses = {block: pi[states].sum() for block, states in blocks.items()}
+        assert abs(masses["A"] - (1200 + 100 * 0.75) / 2100) < 1e-12
+        assert abs(masses["B"] - (800 + 100 * 0.25) / 2100) < 1e-12
+
+    def test_nearly_decomposable_chain_gives_the_closed_block(self):
+        # Its transient block leaks 1e-13 a step: one closed class takes
+        # all the mass, with no ill-conditioned transient solve.
+        P = nearly_decomposable()
+        pi = stationary_distribution(P).probs
+        assert np.abs(pi @ P.rows - pi).sum() <= 1e-12
+        assert pi[:14].max() == 0.0
+        closed = validate_stochastic(P.rows[14:, 14:], P.labels[14:])
+        assert np.abs(pi[14:] - stationary_distribution(closed).probs).max() < 1e-15
+
+    def test_slowly_leaking_block_between_two_classes_raises(self):
+        # The residual stays ~1e-16 here; only the mass identity notices
+        # that the split between the classes is lost.
+        P = nearly_decomposable()
+        rows = P.rows.copy()
+        rows[14:, 14:] = 0.0
+        rows[14:17, 14:17] = rows[17:, 17:] = 1.0 / 3.0
+        P = validate_stochastic(rows, P.labels)
+        with pytest.raises(IllConditionedError):
+            stationary_distribution(P)
+
+    def test_induced_stationary_entropy_matches_oracle(self):
+        P = two_closed_classes()
+        for i in (25, 40, 50, 54, 60):
+            bits = stationary_distribution_estimate(P, Induced(2.0**-i)).bits_per_symbol
+            assert abs(bits - oracle_induced_law_entropy(P.rows, i)) < 1e-12, i
 
 
 class TestInducedEntropyRates:
@@ -404,6 +526,11 @@ class TestInducedEntropyRates:
             _, expected = apply_conditioning(matrix, strategy)
             assert report.conditioning == expected
             assert abs(report.bits_per_symbol - conditioned_rate(matrix, 2.0**-15)) < 1e-12
+        report = stationary_distribution_estimate(markov, strategy)
+        conditioned, expected = apply_conditioning(markov, strategy)
+        assert report.conditioning == expected
+        expected_bits = stationary_distribution_estimate(conditioned).bits_per_symbol
+        assert abs(report.bits_per_symbol - expected_bits) < 1e-12
 
     def test_rejects_probabilities_outside_the_open_interval(self):
         P = validate_stochastic([[0.5, 0.5], [1.0, 0.0]], ["a", "b"])

@@ -40,6 +40,10 @@ PI_LAZY_RESET = np.array([2 / 3, 1 / 3])
 H_BINARY_01 = 0.4689955935892812
 
 
+# Period 2: power iteration on P itself would oscillate forever.
+PERIODIC_TWO_CYCLE = validate_stochastic([[0.0, 1.0], [1.0, 0.0]], ["a", "b"])
+
+
 def random_ergodic(n, rng, floor=0.1):
     rows = (1 - floor) * rng.dirichlet(np.ones(n), size=n) + floor / n
     return validate_stochastic(rows, [f"s{i}" for i in range(n)])
@@ -112,18 +116,29 @@ class TestStationaryDistribution:
         P = validate_stochastic([[1.0]], ["a"])
         assert stationary_distribution(P).probs[0] == 1.0
 
-    @pytest.mark.parametrize("method", ["direct", "power"])
-    def test_fixed_point_residual(self, method):
+    # "direct": the fixed-point residual of the solve itself; "power": the
+    # solve also matches u·P^t from a uniform start, iterated in the test
+    # (these chains have every entry ≥ floor/n, so u·P^t contracts fast).
+    @pytest.mark.parametrize("reference", ["direct", "power"])
+    def test_fixed_point_residual(self, reference):
         rng = np.random.default_rng(5)
         for n in (2, 3, 7):
             P = random_ergodic(n, rng)
-            pi = stationary_distribution(P, method=method)
+            pi = stationary_distribution(P)
             assert np.abs(pi.probs @ P.rows - pi.probs).sum() < 1e-8
+            if reference == "power":
+                x = np.full(n, 1.0 / n)
+                for _ in range(500):
+                    x = x @ P.rows
+                assert np.abs(pi.probs - x).sum() < 1e-8
 
     def test_power_handles_periodic_chain(self):
-        P = validate_stochastic([[0.0, 1.0], [1.0, 0.0]], ["a", "b"])
-        pi = stationary_distribution(P, method="power")
-        assert np.allclose(pi.probs, [0.5, 0.5], atol=1e-10)
+        # Periodic: u·P^t never converges, but its average does.
+        pi = stationary_distribution(PERIODIC_TWO_CYCLE)
+        assert np.abs(pi.probs - 0.5).max() < 1e-15
+        u = np.array([1.0, 0.0])
+        cesaro = (u + u @ PERIODIC_TWO_CYCLE.rows) / 2
+        assert np.abs(pi.probs - cesaro).max() < 1e-15
 
     def test_relabelling_invariance(self):
         rng = np.random.default_rng(9)
