@@ -247,5 +247,5 @@ def lamp_log_likelihood(model: LampModel, corpus: SequenceCorpus) -> float:
             if (idx < 0).any():
                 code = corpus.tokens[a + int(np.argmax(idx < 0))]
                 raise UnknownTokenError(f"unknown token {corpus.vocabulary.labels[code]!r}")
-            total += float(np.log2(_step_scores(model, idx)[0]).sum())
+            total += float(np.log2(_step_scores(model, idx, weighted=False)[0]).sum())
     return total

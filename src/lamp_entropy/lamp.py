@@ -17,7 +17,9 @@ import numpy as np
 from .errors import EmptyHistoryError, TooShortError, ZeroProbabilityError
 from .markov import (
     _TABLE_SAMPLING_MAX_STATES,
+    _bisect_cells,
     _check_probabilities,
+    _inverse_cdf,
     _next_state_table,
     _resolve_init,
     TransitionMatrix,
@@ -113,7 +115,10 @@ def simulate_lamp(
     through the kernel's inverse CDF, the next selects the successor
     state from the chosen source row. ``init`` seeds the single first
     symbol (``None`` draws it from the stationary distribution of the
-    matrix); lags pointing before the start clamp to that symbol.
+    matrix); lags pointing before the start clamp to that symbol. Draws
+    land only on lags of positive weight and on transitions of positive
+    probability, including a draw of 0 and one above a total that
+    rounded below 1.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -125,9 +130,8 @@ def simulate_lamp(
         return [labels[first]]
 
     u = rng.random((n_steps - 1, 2))
-    cum_w = np.cumsum(model.kernel.weights)
-    lag_idx = np.searchsorted(cum_w, u[:, 0], side="left")
-    np.minimum(lag_idx, model.kernel.k - 1, out=lag_idx)
+    [(lag_cum, lag_cols)] = _inverse_cdf(model.kernel.weights)
+    lag_idx = lag_cols[np.searchsorted(lag_cum, u[:, 0], side="left")]
     # Source position for step t is max(0, t - q_t); always already sampled.
     sources = np.maximum(np.arange(1, n_steps) - (lag_idx + 1), 0).tolist()
 
@@ -140,12 +144,11 @@ def simulate_lamp(
     else:
         from bisect import bisect_left
 
-        cum = [row.tolist() for row in np.cumsum(matrix.rows, axis=1)]
-        top = matrix.n - 1
+        cells = _bisect_cells(matrix.rows)
         draws = u[:, 1].tolist()
         for t in range(1, n_steps):
-            x = bisect_left(cum[states[sources[t - 1]]], draws[t - 1])
-            states[t] = x if x <= top else top
+            cum, cols = cells[states[sources[t - 1]]]
+            states[t] = cols[bisect_left(cum, draws[t - 1])]
     return [labels[i] for i in states]
 
 
@@ -164,41 +167,73 @@ def step_log2_probs(model: LampModel, sequence) -> np.ndarray:
     """log2 predictive probability of each symbol after the first.
 
     Entry ``t-1`` scores ``sequence[t]`` against the history
-    ``sequence[:t]``; raising on any zero-probability symbol.
+    ``sequence[:t]``. Raises :class:`ZeroProbabilityError` if any symbol
+    has model probability 0.
     """
-    mixture, _ = _step_scores(model, model.matrix.states.encode(sequence))
+    mixture, _ = _step_scores(model, model.matrix.states.encode(sequence), weighted=False)
     return np.log2(mixture)
 
 
-def _step_scores(model: LampModel, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _step_scores(
+    model: LampModel, idx: np.ndarray, weighted: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Per position t >= 1 of the encoded sequence ``idx``: the mixture
-    probability of ``idx[t]``, and the posterior-weighted log2
-    transition probability.
+    probability of ``idx[t]``, and, if ``weighted``, the posterior-weighted
+    log2 transition probability (else ``None``).
 
     The second array is ``sum_q gamma_q * log2 P[x_{max(0,t-q)}, x_t]``
     with ``gamma_q`` proportional to ``w_q * P[x_{max(0,t-q)}, x_t]``:
     the expected surprisal of the step's realised transition once the
     latent lag is integrated out under its posterior given the path.
+
+    Each lag of positive weight gathers its transition probabilities
+    from the flattened matrix at the cells ``source * n + target`` (and
+    their log2 from a table built once per call); lags of weight 0 add
+    nothing to either sum and are skipped. Both sums accumulate
+    ``w_q * p`` and ``(w_q * p) * log2 p`` lag by lag, in lag order.
     """
-    if idx.shape[0] < 2:
+    m = idx.shape[0] - 1
+    if m < 1:
         raise TooShortError("need at least two symbols to score")
     rows = model.matrix.rows
-    w = model.kernel.weights
-    t = np.arange(1, idx.shape[0])
+    n = rows.shape[0]
     targets = idx[1:]
-    mixture = np.zeros(t.shape[0])
-    weighted_log = np.zeros(t.shape[0])
-    for q in range(1, model.kernel.k + 1):
-        p = rows[idx[np.maximum(t - q, 0)], targets]
-        mixture += w[q - 1] * p
-        positive = p > 0.0
-        weighted_log[positive] += (
-            w[q - 1] * p[positive] * np.log2(p[positive])
-        )
+    flat = rows.ravel()
+    cell = np.empty(m, dtype=np.intp)
+    p = np.empty(m)
+    mixture = np.zeros(m)
+    if weighted:
+        positive = rows > 0.0
+        log_rows = np.zeros_like(rows)
+        log_rows[positive] = np.log2(rows[positive])
+        flat_log = log_rows.ravel()
+        log_p = np.empty(m)
+        weighted_log = np.zeros(m)
+    for q, w_q in enumerate(model.kernel.weights.tolist(), start=1):
+        if w_q == 0.0:
+            continue
+        # Positions t < q clamp their source to the first symbol; the
+        # rest read idx[t - q], i.e. idx[:m - q + 1] shifted by q.
+        clamped = min(q - 1, m)
+        cell[:clamped] = int(idx[0]) * n
+        np.multiply(idx[: m - clamped], n, out=cell[clamped:], dtype=np.intp)
+        cell += targets
+        # mode="clip" writes straight into the buffer; "raise" would
+        # gather into a temporary copy first.
+        np.take(flat, cell, out=p, mode="clip")
+        p *= w_q
+        mixture += p
+        if weighted:
+            np.take(flat_log, cell, out=log_p, mode="clip")
+            p *= log_p
+            weighted_log += p
     if (mixture <= 0.0).any():
         pos = int(np.argmax(mixture <= 0.0)) + 1
         raise ZeroProbabilityError(f"symbol at position {pos} has model probability 0")
-    return mixture, weighted_log / mixture
+    if not weighted:
+        return mixture, None
+    weighted_log /= mixture
+    return mixture, weighted_log
 
 
 def log_loss(model: LampModel, sequence, burn_in: int = 1000) -> float:
@@ -220,7 +255,7 @@ def log_loss(model: LampModel, sequence, burn_in: int = 1000) -> float:
             f"sequence of length {len(sequence)} leaves nothing to score "
             f"after burn_in={burn_in}"
         )
-    _, step_log2 = _step_scores(model, model.matrix.states.encode(sequence))
+    _, step_log2 = _step_scores(model, model.matrix.states.encode(sequence), weighted=True)
     return max(float(-step_log2[burn_in:].mean()), 0.0)
 
 

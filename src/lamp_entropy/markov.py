@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -35,7 +36,8 @@ ROW_SUM_TOL = 1e-9
 STATIONARY_RESIDUAL_TOL = 1e-8
 
 # Next-state sampling precomputes a full quantile table when the state
-# space is small; above this bound it falls back to per-step bisection.
+# space is small; above this bound it bisects each row's positive cells
+# step by step.
 _TABLE_SAMPLING_MAX_STATES = 64
 
 
@@ -418,7 +420,8 @@ def simulate_markov(
     from the stationary distribution. Output is fully determined by the
     seed: one uniform draw per transition, mapped through the inverse
     CDF of the relevant row (ties on a cumulative boundary resolve to
-    the lower index).
+    the lower index). Draws land only on cells of positive probability,
+    including a draw of 0 and one above a row total that rounded below 1.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -439,23 +442,20 @@ def simulate_markov(
     else:
         from bisect import bisect_left
 
-        cum = [row.tolist() for row in np.cumsum(matrix.rows, axis=1)]
-        top = matrix.n - 1
+        cells = _bisect_cells(matrix.rows)
         draws = u.tolist()
         prev = first
         for t in range(1, n_steps):
-            x = bisect_left(cum[prev], draws[t - 1])
-            prev = x if x <= top else top
+            cum, cols = cells[prev]
+            prev = cols[bisect_left(cum, draws[t - 1])]
             states[t] = prev
     return [labels[i] for i in states]
 
 
 def _resolve_init(matrix: TransitionMatrix, init, rng) -> int:
     if init is None:
-        probs = stationary_distribution(matrix).probs
-        cum = np.cumsum(probs)
-        idx = int(np.searchsorted(cum, rng.random(), side="left"))
-        return min(idx, matrix.n - 1)
+        [(cum, cols)] = _inverse_cdf(stationary_distribution(matrix).probs)
+        return int(cols[np.searchsorted(cum, rng.random(), side="left")])
     if isinstance(init, str):
         if init not in matrix.states:
             raise InvalidInitStateError(f"no state labelled {init!r}")
@@ -466,16 +466,47 @@ def _resolve_init(matrix: TransitionMatrix, init, rng) -> int:
     return idx
 
 
+def _inverse_cdf(probs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per row of ``probs`` (a stochastic matrix, or one probability
+    vector): the cumulative sums at its positive cells and those cells'
+    columns.
+
+    The sums are the dense row's cumulative sums, and a uniform draw
+    ``u`` maps to the first positive cell whose sum is >= ``u``. That is
+    the cell a search over the dense row finds, except where the dense
+    search lands on a zero cell: a draw of 0 before the first positive
+    cell, or a draw above a total that rounded below 1 past the last
+    one. The last sum of each row is set to +inf, so the latter lands
+    on the row's last positive cell.
+    """
+    rows = np.atleast_2d(probs)
+    cells = np.flatnonzero(rows)
+    cum = np.cumsum(rows, axis=1).ravel()[cells]
+    cols = np.remainder(cells, rows.shape[1], out=cells)
+    ends = np.cumsum(np.count_nonzero(rows, axis=1))
+    cum[ends - 1] = np.inf
+    bounds = [0, *ends.tolist()]
+    return [(cum[a:b], cols[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def _next_state_table(rows: np.ndarray, u: np.ndarray) -> list[list[int]]:
     """Per-source next states for each uniform draw, via the inverse CDF."""
-    cum = np.cumsum(rows, axis=1)
-    top = rows.shape[0] - 1
-    table = []
-    for s in range(rows.shape[0]):
-        nxt = np.searchsorted(cum[s], u, side="left")
-        np.minimum(nxt, top, out=nxt)
-        table.append(nxt.tolist())
-    return table
+    return [
+        cols[np.searchsorted(cum, u, side="left")].tolist() for cum, cols in _inverse_cdf(rows)
+    ]
+
+
+def _bisect_cells(rows: np.ndarray) -> list[tuple[list[float], Sequence[int]]]:
+    """:func:`_inverse_cdf` as Python lists, for per-step ``bisect_left``.
+
+    A row with no zero cell shares one ``range`` for its columns, so a
+    dense matrix holds no list of column numbers.
+    """
+    every = range(rows.shape[1])
+    return [
+        (cum.tolist(), every if cols.size == len(every) else cols.tolist())
+        for cum, cols in _inverse_cdf(rows)
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -27,9 +29,50 @@ from lamp_entropy import (
     step_log2_probs,
     validate_stochastic,
 )
-from lamp_entropy.lamp import model_to_json_dict
+from lamp_entropy.lamp import _step_scores, model_to_json_dict
 
-from test_markov import H_BINARY_01, random_ergodic
+from test_markov import (
+    H_BINARY_01,
+    NEAR_ONE,
+    SAMPLER_SIZES,
+    SHORT_ROW,
+    FixedDraws,
+    random_ergodic,
+    short_row_chain,
+)
+
+
+def sparse_chain(n, seed, out_degree=3):
+    """Ergodic chain with at most ``out_degree + 1`` successors per state:
+    a few random ones plus the next state on a cycle."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((n, n))
+    for i in range(n):
+        succ = np.append(rng.choice(n, out_degree, replace=False), (i + 1) % n)
+        rows[i, succ] = rng.random(succ.size) + 0.1
+    rows /= rows.sum(axis=1, keepdims=True)
+    return validate_stochastic(rows, [f"s{i}" for i in range(n)])
+
+
+SPIKE_7 = KernelDistribution([0.1, 0, 0, 0, 0, 0, 0.9])
+THREE_STATE = validate_stochastic(
+    [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.0, 0.6, 0.4]], ["a", "b", "c"]
+)
+
+# sha256 of the newline-joined labels of 5,000 steps at seed 17 under the
+# spike-7 kernel, by (chain, init, sampler): THREE_STATE runs the
+# samplers' quantile table, the 80-state sparse chain their bisection.
+PINNED_STREAMS = {
+    ("three", None, "lamp"): "803eb157d48175082c038754064fe37c37405f98168df9ec07b1b18c491dcc53",
+    ("three", None, "markov"): "1389899863d9c71bbfb2fa2298a02772843100938870a6ee5945e21c7d1a77b8",
+    ("three", 1, "lamp"): "8f9146217504ea25344b7fa2c21b5bd47d742a155ef62bfc45891b081eeedd79",
+    ("three", 1, "markov"): "a60906e3e262b54800dd324a55cc9c426f2ad6959d822d6324aa64d27a4f42f5",
+    ("sparse80", None, "lamp"): "381e9e3e83318c3b42faae7d3838652dfee769cad9317a6e21295586c0ae17c8",
+    ("sparse80", None, "markov"):
+        "393fe45430ad0717e2cec266de10db146e2f3d455a41e80820d890ec2e59790c",
+    ("sparse80", 1, "lamp"): "2e96291078929bd640384a954ac1c9587f4020aff510aeea517fec349b463450",
+    ("sparse80", 1, "markov"): "cb4c8481d841f5cce4cb13ad5ec00c815002d7686ddc95f33dbcf5a6d76a13f9",
+}
 
 
 @pytest.fixture
@@ -148,6 +191,33 @@ class TestSimulateLamp:
             counts[P.states.index_of(tok)] += 1
         assert np.abs(counts / trials - expected).max() < 0.03
 
+    @pytest.mark.parametrize("case", list(PINNED_STREAMS))
+    def test_seeded_streams_pinned(self, case):
+        chain, init, sampler = case
+        matrix = THREE_STATE if chain == "three" else sparse_chain(80, 5)
+        if sampler == "lamp":
+            tokens = simulate_lamp(LampModel(matrix, SPIKE_7), 5000, seed=17, init=init)
+        else:
+            tokens = simulate_markov(matrix, 5000, seed=17, init=init)
+        assert hashlib.sha256("\n".join(tokens).encode()).hexdigest() == PINNED_STREAMS[case]
+
+    @pytest.mark.parametrize("n", SAMPLER_SIZES)
+    @pytest.mark.parametrize("u, state", [(0.0, "s1"), (NEAR_ONE, "s5")])
+    def test_draws_land_on_positive_cells(self, n, u, state):
+        model = LampModel(short_row_chain(n), KernelDistribution([0.5, 0.5]))
+        assert simulate_lamp(model, 4, seed=FixedDraws(u), init=0) == ["s0", state, state, state]
+
+    @pytest.mark.parametrize("n", SAMPLER_SIZES)
+    @pytest.mark.parametrize("u", [0.0, NEAR_ONE])
+    def test_draws_land_on_positive_lags(self, n, u):
+        # Lags 1 and 7 have weight 0 and the kernel's cumulative total lies
+        # below NEAR_ONE; on a deterministic cycle, drawing either of them
+        # would emit a symbol of model probability 0.
+        cycle = validate_stochastic(np.roll(np.eye(n), 1, axis=1), [f"s{i}" for i in range(n)])
+        model = LampModel(cycle, KernelDistribution([0.0, *SHORT_ROW, 0.0]))
+        path = simulate_lamp(model, 30, seed=FixedDraws(u), init=0)
+        assert np.isfinite(step_log2_probs(model, path)).all()
+
     def test_long_run_frequencies_match_stationary(self):
         rng = np.random.default_rng(13)
         P = random_ergodic(3, rng)
@@ -216,6 +286,77 @@ class TestLogLoss:
         # position 1: history [a] clamps both lags -> P_a[b] = 0.1
         # position 2: 0.5*P_b[a] + 0.5*P_a[a] = 0.55
         assert np.abs(logs - np.log2([0.1, 0.55])).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "model, seed, loss",
+        [
+            (LampModel(THREE_STATE, SPIKE_7), 3, "0x1.34b966705653dp+0"),
+            (LampModel(sparse_chain(600, 6), KernelDistribution.geometric(3, 0.5)), 4,
+             "0x1.d9af6c54341e7p+0"),
+        ],
+        ids=["three-state-spike-7", "sparse-600"],
+    )
+    def test_self_scored_loss_pinned(self, model, seed, loss):
+        seq = simulate_lamp(model, 20_000, seed=seed)
+        assert log_loss(model, seq).hex() == loss
+
+
+@st.composite
+def scored_paths(draw):
+    """A small model and a path over its states, often shorter than k."""
+    n = draw(st.integers(1, 8))
+    row = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    counts = np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=float)
+    counts[np.arange(n), np.arange(n)] += counts.sum(axis=1) == 0
+    rows = counts / counts.sum(axis=1, keepdims=True)
+    matrix = validate_stochastic(rows, [f"s{i}" for i in range(n)])
+    k = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["point", "spike", "any"]))
+    if shape == "point":
+        kernel = KernelDistribution.point_mass(k)
+    else:
+        if shape == "spike":
+            w = np.zeros(k)
+            w[[0, k - 1]] = draw(st.lists(st.integers(1, 9), min_size=2, max_size=2))
+        else:
+            w = np.array(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)), dtype=float)
+            w[-1] += w.sum() == 0
+        kernel = KernelDistribution(w / w.sum())
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2 * k + 4))
+    return LampModel(matrix, kernel), seq
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_paths())
+def test_step_scores_match_per_position_oracle(case):
+    model, seq = case
+    rows, w = model.matrix.rows, model.kernel.weights
+    tokens = [model.labels[i] for i in seq]
+    mixture = [
+        lamp_transition_distribution(model, tokens[:t])[seq[t]] for t in range(1, len(seq))
+    ]
+    if min(mixture) == 0.0:
+        with pytest.raises(ZeroProbabilityError):
+            _step_scores(model, np.array(seq), weighted=True)
+        with pytest.raises(ZeroProbabilityError):
+            step_log2_probs(model, tokens)
+        return
+    expected_log = np.log2(mixture)
+    assert np.abs(step_log2_probs(model, tokens) - expected_log).max() <= 1e-12
+    # Posterior-weighted log2 P of the realised transition, position by position.
+    oracle = []
+    for t in range(1, len(seq)):
+        total = 0.0
+        for q in range(1, model.kernel.k + 1):
+            p = rows[seq[max(0, t - q)], seq[t]]
+            if p > 0.0:
+                total += w[q - 1] * p * math.log2(p)
+        oracle.append(total / mixture[t - 1])
+    _, weighted = _step_scores(model, np.array(seq), weighted=True)
+    assert np.abs(weighted - oracle).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
+    expected_loss = max(-math.fsum(oracle) / len(oracle), 0.0)
+    loss = log_loss(model, tokens, burn_in=0)
+    assert abs(loss - expected_loss) <= 1e-12 * max(1.0, expected_loss)
 
 
 def test_model_json_roundtrip(tmp_path):

@@ -49,6 +49,34 @@ def random_ergodic(n, rng, floor=0.1):
     return validate_stochastic(rows, [f"s{i}" for i in range(n)])
 
 
+# Summed left to right this row reaches 0.9999999999999998, so a draw of
+# NEAR_ONE lies above its cumulative total.
+SHORT_ROW = [0.06, 0.61, 0.08, 0.07, 0.18]
+NEAR_ONE = float(np.nextafter(1.0, 0.0))
+
+# Both sides of the samplers' table/bisect size threshold (64 states).
+SAMPLER_SIZES = [7, 70]
+
+
+def short_row_chain(n):
+    """Every row is SHORT_ROW on states 1..5 and 0 on state 0 and states
+    6..n-1; built directly, so the rows are not rescaled."""
+    rows = np.zeros((n, n))
+    rows[:, 1:6] = SHORT_ROW
+    return TransitionMatrix(StateSpace(tuple(f"s{i}" for i in range(n))), rows)
+
+
+class FixedDraws(np.random.Generator):
+    """A generator whose uniform draws all equal ``value``."""
+
+    def __init__(self, value):
+        super().__init__(np.random.PCG64(0))
+        self.value = value
+
+    def random(self, size=None):
+        return self.value if size is None else np.full(size, self.value)
+
+
 class TestValidateStochastic:
     def test_valid_matrix(self):
         P = validate_stochastic([[0.5, 0.5], [1.0, 0.0]], ["a", "b"])
@@ -230,6 +258,21 @@ class TestSimulateMarkov:
             simulate_markov(P, 3, seed=0, init=5)
         with pytest.raises(InvalidInitStateError):
             simulate_markov(P, 3, seed=0, init="zzz")
+
+    @pytest.mark.parametrize("n", SAMPLER_SIZES)
+    @pytest.mark.parametrize("u, state", [(0.0, "s1"), (NEAR_ONE, "s5")])
+    def test_draws_land_on_positive_cells(self, n, u, state):
+        # A search over the dense row maps 0 to state 0 and NEAR_ONE past
+        # the row's total to state n-1; both have probability 0.
+        P = short_row_chain(n)
+        assert simulate_markov(P, 4, seed=FixedDraws(u), init=0) == ["s0", state, state, state]
+
+    @pytest.mark.parametrize("n", SAMPLER_SIZES)
+    def test_init_draw_lands_on_positive_state(self, n):
+        # State 0 is transient, so its stationary probability is exactly 0.
+        P = short_row_chain(n)
+        assert stationary_distribution(P).probs[0] == 0.0
+        assert simulate_markov(P, 2, seed=FixedDraws(0.0)) == ["s1", "s1"]
 
     def test_empirical_frequencies_match_chain(self):
         P = validate_stochastic([[0.9, 0.1], [0.1, 0.9]], ["a", "b"])
