@@ -188,6 +188,8 @@ def _load_corpus(args):
 
 
 def _preprocessed_corpus(args):
+    if args.min_count < 1:
+        raise ConfigError(f"--min-count must be >= 1, got {args.min_count}")
     corpus = _load_corpus(args)
     cleaned, stages = preprocess(corpus, args.min_count, args.rare_token)
     info = {
@@ -196,6 +198,14 @@ def _preprocessed_corpus(args):
         "stages": stages,
     }
     return cleaned, info
+
+
+def _check_em_args(args) -> None:
+    """Reject EM settings before the corpus is read."""
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
+    if args.max_iter < 1:
+        raise ConfigError(f"--max-iter must be >= 1, got {args.max_iter}")
 
 
 def _conditioning(args):
@@ -224,6 +234,7 @@ def _cmd_simulate(args, config: RunConfig) -> None:
 
 
 def _cmd_fit(args, config: RunConfig) -> None:
+    _check_em_args(args)
     corpus, info = _preprocessed_corpus(args)
     report = fit_lamp_em(corpus, args.k, max_iter=args.max_iter, tol=args.tol)
     # The model is encoded once: the report embeds the text of the model file.
@@ -239,6 +250,10 @@ def _cmd_fit(args, config: RunConfig) -> None:
 
 
 def _cmd_entropy(args, config: RunConfig) -> None:
+    if args.method == "lamp":
+        if args.k is None:
+            raise ConfigError("--method lamp needs --k")
+        _check_em_args(args)
     corpus, info = _preprocessed_corpus(args)
     if args.method == "sequence-level":
         report = sequence_level_estimate(corpus, preprocessing=info)
@@ -251,8 +266,6 @@ def _cmd_entropy(args, config: RunConfig) -> None:
     elif args.method == "markov":
         report = markov_plugin_estimate(corpus, _conditioning(args), preprocessing=info)
     else:
-        if args.k is None:
-            raise ConfigError("--method lamp needs --k")
         report = lamp_plugin_estimate(
             corpus,
             args.k,
@@ -266,8 +279,10 @@ def _cmd_entropy(args, config: RunConfig) -> None:
 
 
 def _cmd_sweep(args, config: RunConfig) -> None:
-    if args.model_kind == "lamp" and args.k is None:
-        raise ConfigError("--model-kind lamp needs --k")
+    if args.model_kind == "lamp":
+        if args.k is None:
+            raise ConfigError("--model-kind lamp needs --k")
+        _check_em_args(args)
     i_max = args.i_max if args.i_max is not None else (50 if args.model_kind == "lamp" else 25)
     if args.i_min < 1 or i_max < args.i_min:
         raise ConfigError(f"invalid exponent range {args.i_min}..{i_max}")

@@ -108,7 +108,13 @@ def fit_lamp_em(
     often the pattern occurs, and maximisation accumulates over the
     distinct (source, target) cells those rows touch. A round therefore
     costs time in the number of distinct patterns rather than
-    positions; a long path over few states has few of them.
+    positions; a long path over few states has few of them. The
+    patterns are found with one in-place pass per lag and one sort of
+    their packed keys. A round holds its ``(k, P)`` arrays lag-major,
+    so that every sum over lags or over patterns adds whole contiguous
+    rows. Every sum keeps the order of the one-row-per-pattern
+    ``(P, k)`` arithmetic, so every fitted number is the same to the
+    bit.
 
     Parameters
     ----------
@@ -133,8 +139,11 @@ def fit_lamp_em(
     total_positions = tokens.shape[0] - lengths.shape[0]
 
     sources, targets, multiplicity = _distinct_patterns(tokens, offsets, k, n)
-    cells, cell_of = np.unique(sources * n + targets[:, None], return_inverse=True)
-    cell_of = cell_of.reshape(sources.shape)
+    # Rounds run lag-major, on (k, P) arrays: a lag is one contiguous row.
+    cells, cell_of = np.unique(sources.T * n + targets, return_inverse=True)
+    cell_of = cell_of.reshape(k, -1)
+    # Maximisation adds each cell's mass in (pattern, lag) order.
+    cell_of_by_pattern = cell_of.T.ravel()
     cell_row = cells // n
 
     if init is None:
@@ -151,13 +160,15 @@ def fit_lamp_em(
         matrix_rows = matrix0.rows
 
     cell_probs = matrix_rows.ravel()[cells]
+    mixture = np.empty(cell_of.shape)
     trace: list[float] = []
     previous = -np.inf
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        mixture = cell_probs[cell_of] * weights
-        totals = mixture.sum(axis=1)
+        np.take(cell_probs, cell_of, out=mixture, mode="clip")
+        mixture *= weights[:, None]
+        totals = _pairwise_row_sum(mixture)
         if (totals <= 0.0).any():
             raise DegenerateInitError(
                 "an observed transition has probability 0 under the current "
@@ -169,11 +180,14 @@ def fit_lamp_em(
         delta = log_likelihood - previous
         logger.info("em iter=%d log2_likelihood=%.6f delta=%.3g", iteration, log_likelihood, delta)
 
-        # Dividing before weighting keeps a k=1 responsibility exactly 1.
-        responsibilities = (mixture / totals[:, None]) * multiplicity[:, None]
-        weights = responsibilities.sum(axis=0) / total_positions
+        # Responsibilities, in place. Dividing before weighting keeps a
+        # k=1 responsibility exactly 1.
+        mixture /= totals
+        mixture *= multiplicity
+        # The last partial sum adds a lag's patterns one after another.
+        weights = np.cumsum(mixture, axis=1)[:, -1] / total_positions
         cell_mass = np.bincount(
-            cell_of.ravel(), weights=responsibilities.ravel(), minlength=cells.shape[0]
+            cell_of_by_pattern, weights=mixture.T.ravel(), minlength=cells.shape[0]
         )
         row_mass = np.bincount(cell_row, weights=cell_mass, minlength=n)[cell_row]
         # A row with no mass becomes uniform, as in _normalise_rows.
@@ -195,37 +209,88 @@ def fit_lamp_em(
     return FitReport(model, tuple(trace), iteration, converged)
 
 
+def _pairwise_row_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum of the rows of an (m, P) array, added in the order in which
+    numpy's pairwise summation adds m contiguous values: one after
+    another below 8, in 8 interleaved partial sums up to 128, halves
+    beyond. Equals ``rows.T.sum(axis=1)`` bit for bit, but adds whole
+    rows instead of reducing P rows of m values one by one."""
+    m = rows.shape[0]
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _pairwise_row_sum(rows[:half]) + _pairwise_row_sum(rows[half:])
+    if m < 8:
+        total, end = rows[0].copy(), 1
+    else:
+        partial = rows[:8].copy()
+        end = m - m % 8
+        for i in range(8, end, 8):
+            partial += rows[i : i + 8]
+        partial[0::2] += partial[1::2]
+        partial[0::4] += partial[2::4]
+        partial[0] += partial[4]
+        total = partial[0]
+    for row in rows[end:]:
+        total += row
+    return total
+
+
 def _distinct_patterns(
     tokens: np.ndarray, offsets: np.ndarray, k: int, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct (sources at lags 1..k, target) patterns of the scored
-    positions, and how many positions share each.
+    positions, and how many positions share each, in increasing order of
+    the packed (target, source 1, ..., source k) key.
 
     Every position after the first of its sequence is scored; its source
     at lag ``q`` is ``q`` steps back, clamped to the sequence start.
-    Returns ``(sources (P, k), targets (P,), multiplicity (P,))``; the
-    sources are int64, so ``sources * n + target`` cannot overflow.
+    Every sequence must hold at least one token. Returns ``(sources
+    (P, k), targets (P,), multiplicity (P,))``; the sources are int64, so
+    ``sources * n + target`` cannot overflow.
     """
-    elapsed = np.arange(tokens.shape[0]) - np.repeat(offsets[:-1], np.diff(offsets))
-    scored = np.flatnonzero(elapsed >= 1)
-    back = elapsed[scored]
-    # Pack each pattern into one int64, a column at a time; when the next
-    # column could overflow, renumber the keys seen so far densely.
-    key = tokens[scored].astype(np.int64)
+    starts = offsets[:-1]
+    scored = np.ones(tokens.shape[0], dtype=bool)
+    scored[starts] = False
+    # The positions 1..k-1 steps into their sequence, the only ones whose
+    # sources can clamp, and the position of each one's current source.
+    into = np.arange(1, k)
+    near = (starts[:, None] + into)[into < np.diff(offsets)[:, None]]
+    source = near.copy()
+    # Pack each position's pattern into one int64, a column at a time and
+    # in place: shift in the token q steps back, then redo the positions
+    # near a sequence start with their clamped source. When the next
+    # column could overflow, renumber the keys densely.
+    key = tokens.astype(np.int64)
     bound = n
     for q in range(1, k + 1):
         if bound * n > np.iinfo(np.int64).max:
             uniq, key = np.unique(key, return_inverse=True)
             bound = uniq.shape[0]
-        key = key * n + tokens[scored - np.minimum(q, back)]
+        prefix = key[near]
+        key *= n
+        key[q:] += tokens[:-q]
+        # One step back, except from the first token of a sequence.
+        source -= scored[source]
+        key[near] = prefix * n + tokens[source]
         bound *= n
-    _, first, multiplicity = np.unique(key, return_index=True, return_counts=True)
-    at = scored[first]
-    back = elapsed[at]
-    sources = np.stack(
-        [tokens[at - np.minimum(q, back)] for q in range(1, k + 1)], axis=1, dtype=np.int64
-    )
-    return sources, tokens[at], multiplicity.astype(float)
+    key = key[scored]
+    # Any position stands for its pattern, so an unstable sort will do;
+    # its runs are the patterns in key order.
+    order = np.argsort(key)
+    key = key[order]
+    new_run = np.empty(key.shape, dtype=bool)
+    new_run[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new_run[1:])
+    first = np.flatnonzero(new_run)
+    multiplicity = np.diff(first, append=key.shape[0])
+    at = np.flatnonzero(scored)[order[first]]
+    targets = tokens[at]
+    sources = np.empty((at.shape[0], k), dtype=np.int64)
+    for q in range(k):
+        # One step back, except from the first token of a sequence.
+        at -= scored[at]
+        sources[:, q] = tokens[at]
+    return sources, targets, multiplicity.astype(float)
 
 
 def lamp_log_likelihood(model: LampModel, corpus: SequenceCorpus) -> float:

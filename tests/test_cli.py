@@ -238,6 +238,24 @@ class TestSweep:
         assert all(0.0 < float(r["raw_bits"]) < 1e-300 for r in rows)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--k", 0, "--output", "m.json"],
+        ["fit", "--k", 2, "--max-iter", 0, "--output", "m.json"],
+        ["entropy", "--method", "lamp", "--k", 0, "--output", "r.json"],
+        ["sweep", "--model-kind", "lamp", "--k", 0, "--output", "s.csv"],
+        ["preprocess", "--min-count", 0, "--output", "c.lines"],
+    ],
+    ids=["fit-k", "fit-max-iter", "entropy-k", "sweep-k", "min-count"],
+)
+def test_invalid_number_rejected_before_loading(tmp_path, capsys, argv):
+    # The input does not exist: reading it first would exit 1 with an I/O error.
+    code = run([*argv[:1], "--input", tmp_path / "nope.lines", *argv[1:]])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
 class TestProfile:
     def test_profile_csv(self, tmp_path, cycle_corpus):
         out = tmp_path / "profile.csv"

@@ -1,8 +1,11 @@
+import hashlib
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lamp_entropy import (
     DegenerateInitError,
@@ -57,12 +60,92 @@ def per_position_em(corpus, k, iterations, init=None):
     return np.array(trace), weights, rows
 
 
+def pinned_fit_corpus(case):
+    """The seeded corpus of a PINNED_FITS case."""
+    rng = np.random.default_rng(41)
+    if case in ("k1-short", "k2-short"):
+        k = int(case[1])
+        lengths = rng.integers(2, k + 3, size=300)
+        return SequenceCorpus.from_sequences(
+            [[f"s{x}" for x in rng.integers(0, 5, size=length)] for length in lengths]
+        )
+    if case == "k7-spike":
+        model = LampModel(random_ergodic(3, rng), KernelDistribution([0.1, 0, 0, 0, 0, 0, 0.9]))
+        return SequenceCorpus.from_sequences([simulate_lamp(model, 20_000, seed=11)])
+    model = LampModel(random_ergodic(64, rng), KernelDistribution.uniform(12))
+    return SequenceCorpus.from_sequences([simulate_lamp(model, 200, seed=s) for s in range(30)])
+
+
+def fit_digest(report):
+    """sha256 of the float.hex of the trace, the weights and the rows."""
+    values = (
+        *report.log_likelihood_trace,
+        *report.model.kernel.weights.tolist(),
+        *report.model.matrix.rows.ravel().tolist(),
+    )
+    return hashlib.sha256("\n".join(map(float.hex, values)).encode()).hexdigest()
+
+
+# sha256 of seeded fits (fit_digest), by (case, k): sequences of 2..k+2
+# tokens, a 20,000-step spike-7 path over 3 states, and 64 states, whose
+# k=10 and k=12 pattern keys are renumbered while packing.
+PINNED_FITS = {
+    ("k1-short", 1): "4923f5a6de1255c3ae01769e05a28d4c40c9fdc5b38bbe6d2beaaecb81b37c2b",
+    ("k2-short", 2): "1ddf0577ccee572c79094bf77914d84fd2c86c2f0fbb3399d98f256cff52f413",
+    ("k7-spike", 7): "8a1f8f59b339beb591124310cd5a1f6b5d2c04d37a8b5ce2e0bc11864e652894",
+    ("states-64", 10): "b1e2f42ee83aed6ee353a1c63664b8cbb0e5c53facc5880423c7efdaf4a72088",
+    ("states-64", 12): "70089c4c53337daddd04d943a1928b653b0bcb52a2e892fe15418ebecf0280b1",
+}
+
+
 def assert_matches_per_position_em(corpus, k, iterations, init=None):
     trace, weights, rows = per_position_em(corpus, k, iterations, init)
     report = fit_lamp_em(corpus, k=k, init=init, max_iter=iterations, tol=0.0)
     assert np.abs(np.array(report.log_likelihood_trace) / trace - 1.0).max() < 1e-9
     assert np.abs(report.model.kernel.weights - weights).max() < 1e-9
     assert np.abs(report.model.matrix.rows - rows).max() < 1e-9
+
+
+def per_position_patterns(sequences, k):
+    """Multiplicity of each (target, sources at lags 1..k) of every scored
+    position, found one position at a time."""
+    patterns = Counter()
+    for seq in sequences:
+        for t in range(1, len(seq)):
+            patterns[(seq[t], *(seq[max(t - q, 0)] for q in range(1, k + 1)))] += 1
+    return patterns
+
+
+@st.composite
+def pattern_corpora(draw):
+    """(n, k, sequences): many sequences of 2..k+3 codes below n. Many
+    states and a long kernel (64 states and k >= 10, say) make the packed
+    keys too wide for an int64, so they are renumbered."""
+    n = draw(st.integers(1, 70))
+    k = draw(st.integers(1, 13))
+    sequence = st.lists(st.integers(0, n - 1), min_size=2, max_size=k + 3)
+    return n, k, draw(st.lists(sequence, min_size=1, max_size=40))
+
+
+# 40 sequences of 2..15 codes below 64, whose keys are renumbered at k >= 10.
+RENUMBERED = [[(7 * i + 3 * j) % 64 for j in range(2 + i % 14)] for i in range(40)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern_corpora())
+@example((64, 10, RENUMBERED))
+@example((64, 12, RENUMBERED))
+def test_distinct_patterns_match_per_position_count(case):
+    n, k, sequences = case
+    tokens = np.array([x for seq in sequences for x in seq], dtype=np.int32)
+    offsets = np.cumsum([0] + [len(seq) for seq in sequences])
+    sources, targets, multiplicity = _distinct_patterns(tokens, offsets, k, n)
+    want = per_position_patterns(sequences, k)
+    got = [(t, *src) for t, src in zip(targets.tolist(), sources.tolist())]
+    # Distinct, in the order of the packed (target, sources) key.
+    assert got == sorted(want)
+    assert dict(zip(got, multiplicity.tolist())) == want
+    assert multiplicity.sum() == tokens.shape[0] - len(sequences)
 
 
 class TestCountTransitions:
@@ -197,6 +280,11 @@ class TestFitLampEm:
         }
         assert got == want
         assert sources.dtype == np.int64
+
+    @pytest.mark.parametrize("case, k", list(PINNED_FITS))
+    def test_fits_pinned(self, case, k):
+        report = fit_lamp_em(pinned_fit_corpus(case), k=k, max_iter=12, tol=0.0)
+        assert fit_digest(report) == PINNED_FITS[case, k]
 
     def test_observed_row_without_mass_becomes_uniform(self):
         # b -> c is observed only at lag 1, where the initial matrix gives
