@@ -254,6 +254,7 @@ def _cmd_entropy(args, config: RunConfig) -> None:
         if args.k is None:
             raise ConfigError("--method lamp needs --k")
         _check_em_args(args)
+    conditioning = None if args.method in ("sequence-level", "path-level") else _conditioning(args)
     corpus, info = _preprocessed_corpus(args)
     if args.method == "sequence-level":
         report = sequence_level_estimate(corpus, preprocessing=info)
@@ -261,15 +262,15 @@ def _cmd_entropy(args, config: RunConfig) -> None:
         report = path_level_estimate(corpus, preprocessing=info)
     elif args.method == "stationary":
         report = stationary_distribution_estimate(
-            fit_first_order(corpus, smoothing=0.0), _conditioning(args), preprocessing=info
+            fit_first_order(corpus, smoothing=0.0), conditioning, preprocessing=info
         )
     elif args.method == "markov":
-        report = markov_plugin_estimate(corpus, _conditioning(args), preprocessing=info)
+        report = markov_plugin_estimate(corpus, conditioning, preprocessing=info)
     else:
         report = lamp_plugin_estimate(
             corpus,
             args.k,
-            _conditioning(args),
+            conditioning,
             max_iter=args.max_iter,
             tol=args.tol,
             preprocessing=info,
@@ -307,9 +308,9 @@ def _cmd_sweep(args, config: RunConfig) -> None:
 
 
 def _cmd_profile(args, config: RunConfig) -> None:
-    corpus = _load_corpus(args)
     if args.max_lag < 1:
         raise ConfigError("--max-lag must be >= 1")
+    corpus = _load_corpus(args)
     profile = corpus_dependency_profile(corpus, args.max_lag, args.include_lag0)
     write_profile_csv(profile, args.output)
     _write_sidecar(args.output, config)

@@ -12,7 +12,7 @@ both are array passes over the codes.
 from __future__ import annotations
 
 import logging
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,10 +75,13 @@ class SequenceCorpus:
         """Encode ``flat`` labels, cut into sequences of the given lengths."""
         if not flat:
             raise EmptyCorpusError("corpus contains no tokens")
-        vocabulary = StateSpace(tuple(dict.fromkeys(flat)))
+        # One pass: a label not seen before gets the next code.
+        index = defaultdict()
+        index.default_factory = index.__len__
+        codes = np.fromiter(map(index.__getitem__, flat), dtype=np.int32, count=len(flat))
         offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        return cls(vocabulary.encode(flat), offsets, vocabulary)
+        return cls(codes, offsets, StateSpace(tuple(index)))
 
     @property
     def n_sequences(self) -> int:

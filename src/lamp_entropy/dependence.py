@@ -59,21 +59,29 @@ def cramers_v(table: ContingencyTable) -> CramersV:
     """Association strength in [0, 1]: 0 under independence, 1 for a bijection.
 
     ``sqrt((chi2 / total) / min(r - 1, c - 1))`` with Pearson's chi-squared
-    against the independence model. Rows and columns with zero counts are
-    dropped first; a table left with a single row or column describes a
-    constant variable, for which association is vacuous: the value is 0
-    and the degeneracy flag is set.
+    against the independence model, ``r`` and ``c`` counting the nonzero
+    row and column sums. With a single such row or column the table
+    describes a constant variable, for which association is vacuous: the
+    value is 0 and the degeneracy flag is set. Only nonzero cells are
+    read; the unobserved cells of row ``i`` add their expected counts,
+    ``r_i (N - sum of c_j over the row's observed columns) / N``, whose
+    bracket is an exact difference of integer counts.
     """
-    counts = table.counts.astype(float)
-    counts = counts[counts.sum(axis=1) > 0][:, counts.sum(axis=0) > 0]
-    total = counts.sum()
-    r, c = counts.shape
+    n_rows, n_cols = table.counts.shape
+    cells = np.flatnonzero(table.counts)
+    observed = table.counts.ravel()[cells].astype(float)
+    rows, cols = np.divmod(cells, n_cols)
+    row_sums = np.bincount(rows, weights=observed, minlength=n_rows)
+    col_sums = np.bincount(cols, weights=observed, minlength=n_cols)
+    total = observed.sum()
+    r, c = np.count_nonzero(row_sums), np.count_nonzero(col_sums)
     if total <= 0 or r < 2 or c < 2:
         return CramersV(0.0, True)
-    row_sums = counts.sum(axis=1)
-    col_sums = counts.sum(axis=0)
-    expected = np.outer(row_sums, col_sums) / total
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    cell_cols = col_sums[cols]
+    expected = row_sums[rows] * cell_cols / total
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    unobserved_mass = total - np.bincount(rows, weights=cell_cols, minlength=n_rows)
+    chi2 += float(row_sums @ unobserved_mass) / total
     value = math.sqrt(chi2 / (total * min(r - 1, c - 1)))
     return CramersV(min(max(value, 0.0), 1.0), False)
 

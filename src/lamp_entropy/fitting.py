@@ -141,6 +141,7 @@ def fit_lamp_em(
     sources, targets, multiplicity = _distinct_patterns(tokens, offsets, k, n)
     # Rounds run lag-major, on (k, P) arrays: a lag is one contiguous row.
     cells, cell_of = np.unique(sources.T * n + targets, return_inverse=True)
+    del sources, targets
     cell_of = cell_of.reshape(k, -1)
     # Maximisation adds each cell's mass in (pattern, lag) order.
     cell_of_by_pattern = cell_of.T.ravel()
@@ -148,8 +149,9 @@ def fit_lamp_em(
 
     if init is None:
         weights = np.full(k, 1.0 / k)
-        counts = lagged_pair_counts(tokens, offsets, n, 1)
-        matrix_rows = _normalise_rows(counts + DEFAULT_INIT_SMOOTHING)
+        matrix_rows = _normalise_rows(
+            lagged_pair_counts(tokens, offsets, n, 1) + DEFAULT_INIT_SMOOTHING
+        )
     else:
         kernel0, matrix0 = init
         if kernel0.k != k:
@@ -160,6 +162,7 @@ def fit_lamp_em(
         matrix_rows = matrix0.rows
 
     cell_probs = matrix_rows.ravel()[cells]
+    del matrix_rows
     mixture = np.empty(cell_of.shape)
     trace: list[float] = []
     previous = -np.inf
@@ -200,6 +203,8 @@ def fit_lamp_em(
             break
         previous = log_likelihood
 
+    # Free the pattern and round arrays before the dense n * n build.
+    del multiplicity, cell_of, cell_of_by_pattern, mixture
     accum = np.zeros(n * n)
     accum[cells] = cell_mass
     model = LampModel(

@@ -246,8 +246,11 @@ class TestSweep:
         ["entropy", "--method", "lamp", "--k", 0, "--output", "r.json"],
         ["sweep", "--model-kind", "lamp", "--k", 0, "--output", "s.csv"],
         ["preprocess", "--min-count", 0, "--output", "c.lines"],
+        ["profile", "--max-lag", 0, "--output", "p.csv"],
+        ["entropy", "--method", "markov", "--p-artificial", 0, "--output", "r.json"],
     ],
-    ids=["fit-k", "fit-max-iter", "entropy-k", "sweep-k", "min-count"],
+    ids=["fit-k", "fit-max-iter", "entropy-k", "sweep-k", "min-count", "max-lag",
+         "p-artificial"],
 )
 def test_invalid_number_rejected_before_loading(tmp_path, capsys, argv):
     # The input does not exist: reading it first would exit 1 with an I/O error.

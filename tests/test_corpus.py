@@ -256,3 +256,29 @@ class TestPipelineAgainstReference:
             reference_report("dedupe", cleaned_seqs),
         ]
         assert reports == want
+
+
+labels_strategy = st.text(alphabet="ab1_é", min_size=1, max_size=3)
+
+
+class TestLoadersAgainstReference:
+    """Files encode as their sequences do: labels coded in order of first appearance."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(labels_strategy, max_size=8), min_size=1, max_size=6).filter(any))
+    @example([["b"], [], ["a", "b", "c"], []])
+    def test_lines(self, tmp_path_factory, seqs):
+        path = tmp_path_factory.mktemp("encode") / "c.lines"
+        path.write_text("".join(" ".join(seq) + "\n" for seq in seqs), encoding="utf-8")
+        # Blank lines are skipped, so empty sequences drop out.
+        check_corpus(load_sequences(path), [seq for seq in seqs if seq])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["u1", "u2", "u3"]), labels_strategy), min_size=1))
+    def test_tsv(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("encode") / "c.tsv"
+        path.write_text("".join(f"{user}\t{item}\n" for user, item in rows), encoding="utf-8")
+        groups: dict = {}
+        for user, item in rows:
+            groups.setdefault(user, []).append(item)
+        check_corpus(load_sequences(path, "tsv", 0, 1), list(groups.values()))

@@ -1,8 +1,10 @@
 import csv
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lamp_entropy import (
@@ -40,6 +42,41 @@ class TestContingencyTable:
             contingency_table(["a"], 1)
 
 
+def exact_cramers_v(counts) -> tuple[float, bool]:
+    """Cramér's V with chi-squared summed over every cell in exact rationals."""
+    rows = counts.tolist()
+    row_sums = [sum(row) for row in rows]
+    col_sums = [sum(col) for col in zip(*rows)]
+    total = sum(row_sums)
+    r = sum(1 for s in row_sums if s)
+    c = sum(1 for s in col_sums if s)
+    if total == 0 or r < 2 or c < 2:
+        return 0.0, True
+    # (O - E)^2 / E with E = r_i c_j / N, over integers: (O N - r_i c_j)^2 / (N r_i c_j).
+    chi2 = sum(
+        Fraction((o * total - ri * cj) ** 2, total * ri * cj)
+        for row, ri in zip(rows, row_sums)
+        if ri
+        for o, cj in zip(row, col_sums)
+        if cj
+    )
+    return math.sqrt(chi2 / (total * min(r - 1, c - 1))), False
+
+
+@st.composite
+def count_tables(draw):
+    """1..13 by 1..13 tables of counts up to 1e12, many zeros, some rows and columns empty."""
+    n_rows = draw(st.integers(min_value=1, max_value=13))
+    n_cols = draw(st.integers(min_value=1, max_value=13))
+    top = draw(st.sampled_from([1, 20, 10**9, 10**12]))
+    cells = st.one_of(st.just(0), st.integers(min_value=0, max_value=top))
+    flat = draw(st.lists(cells, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    counts = np.array(flat, dtype=np.int64).reshape(n_rows, n_cols)
+    counts[draw(st.lists(st.integers(0, n_rows - 1), max_size=2)), :] = 0
+    counts[:, draw(st.lists(st.integers(0, n_cols - 1), max_size=2))] = 0
+    return counts
+
+
 class TestCramersV:
     def test_perfect_association(self):
         v = cramers_v(ContingencyTable(("a", "b"), ("a", "b"), np.array([[5, 0], [0, 5]])))
@@ -75,6 +112,22 @@ class TestCramersV:
         )
         assert shuffled.value == pytest.approx(v.value, abs=1e-12)
         assert shuffled.degenerate == v.degenerate
+
+    @settings(max_examples=400, deadline=None)
+    @given(count_tables())
+    @example(np.full((4, 6), 10**12))  # independence: V = 0
+    @example(np.full((13, 13), 999_999_999_989))
+    @example(np.array([[3, 0, 5]]))  # one row: degenerate
+    @example(np.array([[0, 0], [7, 0], [2, 0]]))  # one nonzero column: degenerate
+    @example(np.zeros((3, 3), dtype=np.int64))  # no pairs: degenerate
+    @example(np.array([[10**12, 0, 0], [0, 1, 0], [0, 0, 10**12]]))
+    def test_matches_fraction_chi_squared(self, counts):
+        labels_r = tuple(f"r{i}" for i in range(counts.shape[0]))
+        labels_c = tuple(f"c{i}" for i in range(counts.shape[1]))
+        got = cramers_v(ContingencyTable(labels_r, labels_c, counts))
+        want, degenerate = exact_cramers_v(counts)
+        assert got.degenerate == degenerate
+        assert math.isclose(got.value, want, rel_tol=1e-15), (got.value, want)
 
 
 class TestDependencyProfile:
