@@ -7,7 +7,8 @@ outputs embed it under a ``config`` key, CSV and Lines outputs get a
 configurations and inputs produce byte-identical artifacts.
 
 Log verbosity is controlled by the ``LAMP_ENTROPY_LOG_LEVEL``
-environment variable (default WARNING).
+environment variable: a level name in any case (default WARNING). An
+unknown name is a configuration error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -135,7 +137,6 @@ def _add_preprocess_args(parser: argparse.ArgumentParser) -> None:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("LAMP_ENTROPY_LOG_LEVEL", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
     params = {
@@ -145,6 +146,7 @@ def main(argv=None) -> int:
     }
     config = RunConfig(args.subcommand, params)
     try:
+        _configure_logging()
         args.func(args, config)
     except ConfigError as exc:
         _emit_error(exc, config)
@@ -153,6 +155,15 @@ def main(argv=None) -> int:
         _emit_error(exc, config)
         return 1
     return 0
+
+
+def _configure_logging() -> None:
+    name = os.environ.get("LAMP_ENTROPY_LOG_LEVEL", "WARNING")
+    # getLevelName maps a known name to its number, anything else to a string.
+    level = logging.getLevelName(name.upper())
+    if not isinstance(level, int):
+        raise ConfigError(f"LAMP_ENTROPY_LOG_LEVEL names no logging level: {name!r}")
+    logging.basicConfig(level=level)
 
 
 def _emit_error(exc: Exception, config: RunConfig) -> None:
@@ -206,6 +217,8 @@ def _check_em_args(args) -> None:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     if args.max_iter < 1:
         raise ConfigError(f"--max-iter must be >= 1, got {args.max_iter}")
+    if math.isnan(args.tol):
+        raise ConfigError("--tol must be a number, got nan")
 
 
 def _conditioning(args):

@@ -9,6 +9,7 @@ steps; the total log2-likelihood never decreases.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,7 @@ def fit_lamp_em(
     proportional to ``w_q * P[x_{max(0, t-q)}, x_t]``; maximisation
     renormalises responsibility totals into new weights and a new
     matrix. Stops once the total log2-likelihood improves by less than
-    ``tol``, or after ``max_iter`` rounds.
+    ``tol`` (which must not be NaN), or after ``max_iter`` rounds.
 
     A position enters both steps only through its pattern: its ``k``
     lagged sources and its target. Positions sharing a pattern are
@@ -131,6 +132,8 @@ def fit_lamp_em(
         raise ValueError("k must be >= 1")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if math.isnan(tol):
+        raise ValueError("tol must be a number, got nan")
     tokens, offsets = corpus.tokens, corpus.offsets
     lengths = np.diff(offsets)
     if (lengths < 2).any():
@@ -317,5 +320,5 @@ def lamp_log_likelihood(model: LampModel, corpus: SequenceCorpus) -> float:
             if (idx < 0).any():
                 code = corpus.tokens[a + int(np.argmax(idx < 0))]
                 raise UnknownTokenError(f"unknown token {corpus.vocabulary.labels[code]!r}")
-            total += float(np.log2(_step_scores(model, idx, weighted=False)[0]).sum())
+            total += float(_step_scores(model, idx, weighted=False).sum())
     return total

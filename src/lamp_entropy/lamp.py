@@ -168,72 +168,85 @@ def step_log2_probs(model: LampModel, sequence) -> np.ndarray:
 
     Entry ``t-1`` scores ``sequence[t]`` against the history
     ``sequence[:t]``. Raises :class:`ZeroProbabilityError` if any symbol
-    has model probability 0.
+    has model probability 0. Scored in blocks: about 12 bytes per position.
     """
-    mixture, _ = _step_scores(model, model.matrix.states.encode(sequence), weighted=False)
-    return np.log2(mixture)
+    return _step_scores(model, model.matrix.states.encode(sequence), weighted=False)
 
 
-def _step_scores(
-    model: LampModel, idx: np.ndarray, weighted: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per position t >= 1 of the encoded sequence ``idx``: the mixture
-    probability of ``idx[t]``, and, if ``weighted``, the posterior-weighted
-    log2 transition probability (else ``None``).
+# Positions per scoring block: a float64 block buffer is 128 KB, so a
+# block's buffers stay in L2 cache however long the path.
+_BLOCK = 16_384
 
-    The second array is ``sum_q gamma_q * log2 P[x_{max(0,t-q)}, x_t]``
+
+def _step_scores(model: LampModel, idx: np.ndarray, weighted: bool) -> np.ndarray:
+    """Per position t >= 1 of the encoded sequence ``idx``: the log2 of
+    the mixture probability of ``idx[t]``, or, if ``weighted``, the
+    posterior-weighted log2 transition probability.
+
+    The weighted score is ``sum_q gamma_q * log2 P[x_{max(0,t-q)}, x_t]``
     with ``gamma_q`` proportional to ``w_q * P[x_{max(0,t-q)}, x_t]``:
     the expected surprisal of the step's realised transition once the
     latent lag is integrated out under its posterior given the path.
 
-    Each lag of positive weight gathers its transition probabilities
-    from the flattened matrix at the cells ``source * n + target`` (and
-    their log2 from a table built once per call); lags of weight 0 add
-    nothing to either sum and are skipped. Both sums accumulate
-    ``w_q * p`` and ``(w_q * p) * log2 p`` lag by lag, in lag order.
+    Positions are scored in blocks of ``_BLOCK`` in reused buffers; only
+    the result is full length. Within a block each lag of positive weight
+    gathers its transition probabilities from the flattened matrix at the
+    cells ``source * n + target`` (and their log2 from a table built once
+    per call). Both sums accumulate ``w_q * p`` and ``(w_q * p) * log2 p``
+    lag by lag, in lag order, so no score depends on the block length.
     """
     m = idx.shape[0] - 1
     if m < 1:
         raise TooShortError("need at least two symbols to score")
     rows = model.matrix.rows
     n = rows.shape[0]
-    targets = idx[1:]
     flat = rows.ravel()
-    cell = np.empty(m, dtype=np.intp)
-    p = np.empty(m)
-    mixture = np.zeros(m)
     if weighted:
         positive = rows > 0.0
         log_rows = np.zeros_like(rows)
         log_rows[positive] = np.log2(rows[positive])
         flat_log = log_rows.ravel()
-        log_p = np.empty(m)
-        weighted_log = np.zeros(m)
-    for q, w_q in enumerate(model.kernel.weights.tolist(), start=1):
-        if w_q == 0.0:
-            continue
-        # Positions t < q clamp their source to the first symbol; the
-        # rest read idx[t - q], i.e. idx[:m - q + 1] shifted by q.
-        clamped = min(q - 1, m)
-        cell[:clamped] = int(idx[0]) * n
-        np.multiply(idx[: m - clamped], n, out=cell[clamped:], dtype=np.intp)
-        cell += targets
-        # mode="clip" writes straight into the buffer; "raise" would
-        # gather into a temporary copy first.
-        np.take(flat, cell, out=p, mode="clip")
-        p *= w_q
-        mixture += p
+    lags = [(q, w) for q, w in enumerate(model.kernel.weights.tolist(), start=1) if w != 0.0]
+    first = int(idx[0]) * n
+    out = np.empty(m)
+    size = min(_BLOCK, m)
+    cell_buf = np.empty(size, dtype=np.intp)
+    float_buf = np.empty((3, size))
+    for a in range(0, m, size):
+        b = min(a + size, m)
+        cell = cell_buf[: b - a]
+        p, mixture, log_p = float_buf[:, : b - a]
+        score = out[a:b]
+        targets = idx[a + 1 : b + 1]
+        mixture.fill(0.0)
         if weighted:
-            np.take(flat_log, cell, out=log_p, mode="clip")
-            p *= log_p
-            weighted_log += p
-    if (mixture <= 0.0).any():
-        pos = int(np.argmax(mixture <= 0.0)) + 1
-        raise ZeroProbabilityError(f"symbol at position {pos} has model probability 0")
-    if not weighted:
-        return mixture, None
-    weighted_log /= mixture
-    return mixture, weighted_log
+            score.fill(0.0)
+        for q, w_q in lags:
+            # Positions t < q clamp their source to the first symbol; the
+            # rest of the block reads idx[t - q].
+            clamped = min(max(q - 1 - a, 0), b - a)
+            cell[:clamped] = first
+            sources = idx[a + clamped + 1 - q : b + 1 - q]
+            np.multiply(sources, n, out=cell[clamped:], dtype=np.intp)
+            cell += targets
+            # mode="clip" writes straight into the buffer; "raise" would
+            # gather into a temporary copy first.
+            np.take(flat, cell, out=p, mode="clip")
+            p *= w_q
+            mixture += p
+            if weighted:
+                np.take(flat_log, cell, out=log_p, mode="clip")
+                p *= log_p
+                score += p
+        zero = mixture <= 0.0
+        if zero.any():
+            pos = a + int(np.argmax(zero)) + 1
+            raise ZeroProbabilityError(f"symbol at position {pos} has model probability 0")
+        if weighted:
+            score /= mixture
+        else:
+            np.log2(mixture, out=score)
+    return out
 
 
 def log_loss(model: LampModel, sequence, burn_in: int = 1000) -> float:
@@ -247,6 +260,8 @@ def log_loss(model: LampModel, sequence, burn_in: int = 1000) -> float:
     surprisal is exactly ``-sum_ij pi_i P_ij log2 P_ij`` no matter what
     the kernel looks like. Positions ``t > burn_in`` are scored, which
     washes out the clamping of early lags to the first symbol.
+    The call holds the int32 codes and one float64 score per position
+    (about 12 bytes per position) plus an ``n x n`` log2 table.
     """
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
@@ -255,7 +270,7 @@ def log_loss(model: LampModel, sequence, burn_in: int = 1000) -> float:
             f"sequence of length {len(sequence)} leaves nothing to score "
             f"after burn_in={burn_in}"
         )
-    _, step_log2 = _step_scores(model, model.matrix.states.encode(sequence), weighted=True)
+    step_log2 = _step_scores(model, model.matrix.states.encode(sequence), weighted=True)
     return max(float(-step_log2[burn_in:].mean()), 0.0)
 
 

@@ -248,15 +248,36 @@ class TestSweep:
         ["preprocess", "--min-count", 0, "--output", "c.lines"],
         ["profile", "--max-lag", 0, "--output", "p.csv"],
         ["entropy", "--method", "markov", "--p-artificial", 0, "--output", "r.json"],
+        ["fit", "--k", 2, "--tol", "nan", "--output", "m.json"],
     ],
     ids=["fit-k", "fit-max-iter", "entropy-k", "sweep-k", "min-count", "max-lag",
-         "p-artificial"],
+         "p-artificial", "tol-nan"],
 )
 def test_invalid_number_rejected_before_loading(tmp_path, capsys, argv):
     # The input does not exist: reading it first would exit 1 with an I/O error.
     code = run([*argv[:1], "--input", tmp_path / "nope.lines", *argv[1:]])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+class TestLogLevel:
+    def test_level_name_in_any_case(self, tmp_path, monkeypatch, model_path):
+        monkeypatch.setenv("LAMP_ENTROPY_LOG_LEVEL", "debug")
+        out = tmp_path / "s.lines"
+        code = run(["simulate", "--model", model_path, "--steps", 10, "--output", out])
+        assert code == 0
+        assert len(out.read_text().split()) == 10
+
+    def test_unknown_level_is_a_config_error(self, tmp_path, capsys, monkeypatch, model_path):
+        monkeypatch.setenv("LAMP_ENTROPY_LOG_LEVEL", "verbose")
+        out = tmp_path / "s.lines"
+        code = run(["simulate", "--model", model_path, "--steps", 10, "--output", out])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["subcommand"] == "simulate"
+        assert "verbose" in err["message"]
+        assert not out.exists()
 
 
 class TestProfile:

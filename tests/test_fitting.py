@@ -314,6 +314,12 @@ class TestFitLampEm:
         with pytest.raises(TooShortError):
             fit_lamp_em(corpus, k=2)
 
+    def test_nan_tol_rejected(self):
+        # delta < nan is never true, so a NaN tol would run every round unconverged.
+        corpus = SequenceCorpus.from_sequences([["a", "b", "a"]])
+        with pytest.raises(ValueError, match="tol"):
+            fit_lamp_em(corpus, k=1, tol=float("nan"))
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(33)
         P = random_ergodic(3, rng)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from lamp_entropy import (
     step_log2_probs,
     validate_stochastic,
 )
+import lamp_entropy.lamp as lamp_module
 from lamp_entropy.lamp import _step_scores, model_to_json_dict
 
 from test_markov import (
@@ -326,10 +328,9 @@ def scored_paths(draw):
     return LampModel(matrix, kernel), seq
 
 
-@settings(max_examples=300, deadline=None)
-@given(scored_paths())
-def test_step_scores_match_per_position_oracle(case):
-    model, seq = case
+def check_against_oracle(model, seq):
+    """Both scorers against a per-position oracle built from
+    :func:`lamp_transition_distribution` and the explicit lag sum."""
     rows, w = model.matrix.rows, model.kernel.weights
     tokens = [model.labels[i] for i in seq]
     mixture = [
@@ -352,11 +353,73 @@ def test_step_scores_match_per_position_oracle(case):
             if p > 0.0:
                 total += w[q - 1] * p * math.log2(p)
         oracle.append(total / mixture[t - 1])
-    _, weighted = _step_scores(model, np.array(seq), weighted=True)
+    weighted = _step_scores(model, np.array(seq), weighted=True)
     assert np.abs(weighted - oracle).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
     expected_loss = max(-math.fsum(oracle) / len(oracle), 0.0)
     loss = log_loss(model, tokens, burn_in=0)
     assert abs(loss - expected_loss) <= 1e-12 * max(1.0, expected_loss)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_paths())
+def test_step_scores_match_per_position_oracle(case):
+    check_against_oracle(*case)
+
+
+SMALL_BLOCKS = [1, 2, 3, 7]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_paths(), st.sampled_from(SMALL_BLOCKS))
+def test_step_scores_match_oracle_in_small_blocks(case, block):
+    # Paths of up to 2k + 4 symbols span several blocks, and a lag's
+    # clamped sources can fill whole blocks.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lamp_module, "_BLOCK", block)
+        check_against_oracle(*case)
+
+
+class TestBlockedScoring:
+    @pytest.fixture
+    def long_kernel_case(self):
+        rng = np.random.default_rng(12)
+        w = rng.random(12) + 0.05
+        model = LampModel(random_ergodic(4, rng), KernelDistribution(w / w.sum()))
+        return model, simulate_lamp(model, 200, seed=12)
+
+    @pytest.mark.parametrize("block", SMALL_BLOCKS)
+    def test_bits_independent_of_block(self, monkeypatch, long_kernel_case, block):
+        model, seq = long_kernel_case
+        loss = log_loss(model, seq, burn_in=5).hex()
+        logs = step_log2_probs(model, seq)
+        monkeypatch.setattr(lamp_module, "_BLOCK", block)
+        assert log_loss(model, seq, burn_in=5).hex() == loss
+        assert step_log2_probs(model, seq).tobytes() == logs.tobytes()
+
+    @pytest.mark.parametrize("block", SMALL_BLOCKS)
+    def test_zero_probability_position_is_global(self, monkeypatch, block):
+        P = validate_stochastic([[0.0, 1.0], [0.5, 0.5]], ["a", "b"])
+        model = LampModel(P, KernelDistribution([0.5, 0, 0.5]))
+        # Position 11 is the first a -> a step whose lag-1 and lag-3 sources are both a.
+        seq = ["a", "b"] * 5 + ["a", "a", "b"]
+        with pytest.raises(ZeroProbabilityError, match="position 11 "):
+            step_log2_probs(model, seq)
+        monkeypatch.setattr(lamp_module, "_BLOCK", block)
+        for score in (step_log2_probs, lambda m, s: log_loss(m, s, burn_in=0)):
+            with pytest.raises(ZeroProbabilityError, match="position 11 "):
+                score(model, seq)
+
+    def test_log_loss_working_memory(self):
+        model = LampModel(THREE_STATE, SPIKE_7)
+        seq = simulate_lamp(model, 1_000_000, seed=5)
+        tracemalloc.start()
+        try:
+            log_loss(model, seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The int32 codes and the float64 scores: 12 MB, plus block buffers.
+        assert peak < 16e6
 
 
 def test_model_json_roundtrip(tmp_path):
