@@ -5,8 +5,9 @@ estimators substitute fitted transition matrices (first-order or
 lag-mixture) into the closed-form entropy rate after conditioning the
 matrix to be irreducible (under an artificial state, through
 :func:`induced_entropy_rates`). The sweep conditions one fitted matrix at
-``p = 2**-i`` over a range of exponents, sharing the block set-up across
-them, and looks for the plateau where the estimate stabilises.
+``p = 2**-i`` over a range of exponents in one call, which factors each
+closed class once for all of them (a series in ``p``), and looks for
+the plateau where the estimate stabilises.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from .fitting import fit_first_order, fit_lamp_em
 from .lamp import KernelDistribution
 from .markov import (
     ROW_SUM_TOL,
+    StationaryDistribution,
     TransitionMatrix,
+    _Blocks,
     _reject_non_finite,
     entropy_rate,
     stationary_distribution,
@@ -151,8 +154,8 @@ def stationary_distribution_estimate(
         probs = _induced_stationary_law(matrix, conditioning.p_artificial)
         report = conditioning_report(conditioning, matrix.n, matrix.n + 1)
     else:
-        conditioned, report = apply_conditioning(matrix, conditioning)
-        probs = stationary_distribution(conditioned).probs
+        _, law, report = _largest_cc_law(matrix, conditioning)
+        probs = law.probs
     return EntropyReport(
         EstimatorMethod.STATIONARY_DISTRIBUTION,
         shannon_entropy(probs),
@@ -189,8 +192,18 @@ def _conditioned_rate(
     if isinstance(conditioning, Induced):
         bits = induced_entropy_rates(matrix, [conditioning.p_artificial])[0]
         return bits, conditioning_report(conditioning, matrix.n, matrix.n + 1)
+    conditioned, law, report = _largest_cc_law(matrix, conditioning)
+    return entropy_rate(conditioned, law), report
+
+
+def _largest_cc_law(
+    matrix: TransitionMatrix, conditioning: LargestCC
+) -> tuple[TransitionMatrix, StationaryDistribution, dict]:
+    """The largest SCC, its stationary law and the report. The restriction
+    keeps the component's edges: one class, not condensed a second time."""
     conditioned, report = apply_conditioning(matrix, conditioning)
-    return entropy_rate(conditioned, stationary_distribution(conditioned)), report
+    law = _Blocks(conditioned.rows, irreducible=True).stationary(0.0)
+    return conditioned, StationaryDistribution(conditioned.states, law), report
 
 
 def lamp_plugin_estimate(

@@ -271,7 +271,8 @@ def log_loss(model: LampModel, sequence, burn_in: int = 1000) -> float:
             f"after burn_in={burn_in}"
         )
     step_log2 = _step_scores(model, model.matrix.states.encode(sequence), weighted=True)
-    return max(float(-step_log2[burn_in:].mean()), 0.0)
+    # max keeps its first argument on a tie: 0.0 first, so a zero loss is +0.0.
+    return max(0.0, float(-step_log2[burn_in:].mean()))
 
 
 def model_to_json_dict(model: LampModel) -> dict:

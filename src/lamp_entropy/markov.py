@@ -40,6 +40,9 @@ STATIONARY_RESIDUAL_TOL = 1e-8
 # step by step.
 _TABLE_SAMPLING_MAX_STATES = 64
 
+# Most terms of the series in p that one closed class may take.
+_SERIES_MAX_TERMS = 100
+
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -275,24 +278,32 @@ class _Blocks:
 
     States whose component has an edge leaving it are transient (``T``),
     the rest form closed classes. Blocks are stored transposed (``x·A =
-    b`` is solved as ``A^T·x = b``). The row entropies ``h`` are lazy.
+    b`` is solved as ``A^T·x = b``). The edges and the row entropies
+    ``h`` are lazy. ``irreducible`` declares the chain one class, as a
+    restriction to an SCC is by construction, and skips the condensation.
     """
 
-    def __init__(self, rows: np.ndarray):
+    def __init__(self, rows: np.ndarray, irreducible: bool = False):
         n = rows.shape[0]
-        self.edges = starts, targets = _edges(rows)
-        components, component_of = _tarjan(starts, targets)
-        label = np.array(component_of)
-        source_label = np.repeat(label, np.diff(starts))
-        is_open = np.zeros(len(components), dtype=bool)
-        is_open[source_label[source_label != label[targets]]] = True
-        classes = [np.sort(members) for cid, members in enumerate(components) if not is_open[cid]]
         self.rows = rows
-        self.n_components = len(components)
-        self.transient = transient = np.flatnonzero(is_open[label])
-        if transient.size:
-            self.p_tt = rows[np.ix_(transient, transient)].T
-            self.p_tc = rows[np.ix_(transient, np.concatenate(classes))]
+        self.n_components = 1
+        self.transient = np.arange(0)
+        classes = [np.arange(n)]
+        if not irreducible:
+            starts, targets = self.edges
+            components, component_of = _tarjan(starts, targets)
+            label = np.array(component_of)
+            source_label = np.repeat(label, np.diff(starts))
+            is_open = np.zeros(len(components), dtype=bool)
+            is_open[source_label[source_label != label[targets]]] = True
+            classes = [
+                np.sort(members) for cid, members in enumerate(components) if not is_open[cid]
+            ]
+            self.n_components = len(components)
+            self.transient = transient = np.flatnonzero(is_open[label])
+            if transient.size:
+                self.p_tt = rows[np.ix_(transient, transient)].T
+                self.p_tc = rows[np.ix_(transient, np.concatenate(classes))]
         # Per class: its states, its columns of P_TC, and P_CC.
         bounds = [0, *accumulate(members.size for members in classes)]
         self.closed = [
@@ -301,43 +312,90 @@ class _Blocks:
         ]
 
     @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        return _edges(self.rows)
+
+    @cached_property
     def h(self) -> np.ndarray:
         return _row_entropies(self.rows, *self.edges)
+
+    def inflow(self, p: float) -> tuple[np.ndarray | None, np.ndarray, float]:
+        """``z_T = u_T(I - cP_TT)^-1`` (``None`` when skipped), the inflow
+        ``c·z_T·P_TC`` into the closed states and the mass ``p·sum(z_T)``.
+        The solve is skipped without transient states, and at ``p = 0``
+        with one closed class, which then holds all the mass."""
+        t = self.transient.size
+        if not t or (p == 0.0 and len(self.closed) == 1):
+            return None, np.zeros(self.rows.shape[0]), 0.0
+        z_t = _solve(_identity_minus(1.0 - p, self.p_tt), np.full(t, 1.0 / self.rows.shape[0]))
+        return z_t, (1.0 - p) * (z_t @ self.p_tc), p * z_t.sum()
 
     def solve(self, p: float) -> tuple[np.ndarray | None, list[np.ndarray], float]:
         """``z_T`` (``x_T = p·z_T``; ``None`` when skipped), each ``x_C``,
         and the mass ``p·sum(z_T) + sum_C m_C``, which is 1 exactly.
 
-        ``z_T = u_T(I - cP_TT)^-1``; a closed class holds ``m_C = |C|/n +
-        c·z_T·P_TC·1``, and ``x_C`` solves ``x_C(I - cP_CC) = p(u_C +
-        c·z_T·P_TC)`` with its last equation replaced by ``sum(x_C) =
-        m_C``, which stays well conditioned however small ``p`` is. At
-        ``p = 0`` this gives ``x_T = 0`` and ``x_C = m_C·π_C``; with one
-        closed class, ``m_C = 1`` and the transient solve is skipped.
+        A closed class holds ``m_C = |C|/n + c·z_T·P_TC·1``, and ``x_C``
+        solves ``x_C(I - cP_CC) = p(u_C + c·z_T·P_TC)`` with its last
+        equation replaced by ``sum(x_C) = m_C``, which stays well
+        conditioned however small ``p`` is. At ``p = 0`` this gives ``x_T
+        = 0`` and ``x_C = m_C·π_C``.
         """
         c = 1.0 - p
         u = 1.0 / self.rows.shape[0]
         one_class = p == 0.0 and len(self.closed) == 1
-        t = self.transient.size
-        try:
-            if t and not one_class:
-                z_t = np.linalg.solve(_identity_minus(c, self.p_tt), np.full(t, u))
-                inflow = c * (z_t @ self.p_tc)
-                mass = p * z_t.sum()
-            else:
-                z_t, inflow, mass = None, np.zeros(self.rows.shape[0]), 0.0
-            x_closed = []
-            for _, part, p_cc in self.closed:
-                m_c = 1.0 if one_class else p_cc.shape[0] * u + inflow[part].sum()
-                a = _identity_minus(c, p_cc)
-                a[-1] = 1.0
-                b = p * (u + inflow[part])
-                b[-1] = m_c
-                x_closed.append(np.linalg.solve(a, b))
-                mass += m_c
-        except np.linalg.LinAlgError as exc:
-            raise IllConditionedError(f"singular block in the stationary solve: {exc}") from None
+        z_t, inflow, mass = self.inflow(p)
+        x_closed = []
+        for _, part, p_cc in self.closed:
+            m_c = 1.0 if one_class else p_cc.shape[0] * u + inflow[part].sum()
+            a = _identity_minus(c, p_cc)
+            a[-1] = 1.0
+            b = p * (u + inflow[part])
+            b[-1] = m_c
+            x_closed.append(_solve(a, b))
+            mass += m_c
         return z_t, x_closed, mass
+
+    def series(self, p_values) -> list[tuple[float, float, np.ndarray]]:
+        """Per closed class (``P = P_CC``, ``h = h_C``, ``π = π_C``): ``π·h``,
+        a scale ``q`` and the rows ``q^k·g_k`` of ``(I - cP)^-1 h = (c/p)(π·h)·1
+        + sum_k (-p)^k g_k``, where ``g_0 = Zh``, ``g_k = Z(P·g_{k-1} -
+        (π·g_{k-1})·1)`` and ``Z = (I - P + 1π)^-1``. One inverse ``W = (I -
+        P + 1v)^-1``, ``v`` uniform, gives ``π = vW`` and ``Z = W - 1(πW -
+        π)``. ``q`` is the largest of ``p_values`` at which the terms still
+        shrink; they stop once below 1e-17 of the first, or at
+        ``_SERIES_MAX_TERMS``.
+        """
+        tops = sorted(p_values, reverse=True)
+        out = []
+        for members, _, p_cc in self.closed:
+            size = members.size
+            w = p_cc.T * -1.0
+            w += 1.0 / size
+            w.flat[:: size + 1] += 1.0
+            try:
+                w = np.linalg.inv(w)
+            except np.linalg.LinAlgError:  # then no point passes its check
+                w.fill(np.nan)
+            pi = w.sum(axis=0) / size
+            w -= pi @ w - pi
+            h = self.h[members]
+            q, top = tops[0], 0
+            terms = [w @ h]
+            norms = [np.abs(terms[0]).max()]
+            while len(terms) < _SERIES_MAX_TERMS and norms[-1] > 1e-17 * norms[0]:
+                g = terms[-1]
+                terms.append(q * (w @ (p_cc.T @ g - pi @ g)))
+                norms.append(np.abs(terms[-1]).max())
+                while norms[-1] >= norms[-2] and top + 1 < len(tops):
+                    top += 1
+                    scale = (tops[top] / q) ** np.arange(len(terms))
+                    q = tops[top]
+                    terms = [term * f for term, f in zip(terms, scale)]
+                    norms = [norm * f for norm, f in zip(norms, scale)]
+                if norms[-1] >= norms[-2]:  # diverges at every point
+                    break
+            out.append((pi @ h, q, np.array(terms)))
+        return out
 
     def stationary(self, p: float) -> np.ndarray:
         """``x(p)`` over all n states, clipped at 0 and renormalised.
@@ -373,6 +431,13 @@ def _identity_minus(c: float, block: np.ndarray) -> np.ndarray:
     a = block * -c
     a.flat[:: a.shape[0] + 1] += 1.0
     return a
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(f"singular block in the stationary solve: {exc}") from None
 
 
 def stationary_distribution(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -31,6 +32,7 @@ from lamp_entropy import (
     strongly_connected_components,
     validate_stochastic,
 )
+from lamp_entropy import conditioning, markov
 
 from test_cli import pinned_corpus_text
 from test_markov import PERIODIC_TWO_CYCLE, random_ergodic
@@ -403,6 +405,60 @@ def two_closed_classes_2100():
     return P, {block: where[start[block] : start[block] + size] for block, size in sizes.items()}
 
 
+def random_reducible_chain(rng):
+    """One to three closed classes, some of them cycles (periodic), and up
+    to four transient states, each moving into a class with probability
+    at least 1/5; shuffled."""
+    sizes = rng.integers(1, 6, size=rng.integers(1, 4))
+    t = int(rng.integers(0, 5))
+    n = t + int(sizes.sum())
+    rows = np.zeros((n, n))
+    start = t
+    for size in sizes:
+        block = slice(start, start + size)
+        cycle = np.roll(np.eye(size), 1, axis=1)
+        if rng.random() < 0.3:
+            rows[block, block] = cycle
+        else:
+            sparse = rng.random((size, size)) * (rng.random((size, size)) < 0.6)
+            rows[block, block] = 0.2 * cycle + sparse
+        start += size
+    for i in range(t):
+        rows[i] = rng.random(n) * (rng.random(n) < 0.5)
+        rows[i] /= rows[i].sum() or 1.0
+        rows[i, rng.integers(t, n)] += 0.25
+    perm = rng.permutation(n)
+    rows = rows[np.ix_(perm, perm)]
+    return validate_stochastic(rows / rows.sum(axis=1, keepdims=True), [f"s{i}" for i in range(n)])
+
+
+def coupled_blocks(coupling):
+    """One closed class of two 3-state blocks joined by edges of
+    ``coupling``: the series in p converges only for p below about
+    ``coupling / 2`` (2e-6 at 1e-6, 0.0055 at 0.01)."""
+    rng = np.random.default_rng(11)
+    rows = np.zeros((6, 6))
+    rows[:3, :3] = rng.random((3, 3)) + 0.1
+    rows[3:, 3:] = rng.random((3, 3)) + 0.1
+    rows /= rows.sum(axis=1, keepdims=True)
+    rows[0, 3] = rows[3, 0] = coupling
+    return validate_stochastic(rows / rows.sum(axis=1, keepdims=True), list("abcdef"))
+
+
+@pytest.fixture
+def block_solves(monkeypatch):
+    """The ``p`` of every rate that ``induced_entropy_rates`` takes from the block solve."""
+    seen = []
+    block_rate = conditioning._block_rate
+
+    def spy(blocks, p, log2_n):
+        seen.append(p)
+        return block_rate(blocks, p, log2_n)
+
+    monkeypatch.setattr(conditioning, "_block_rate", spy)
+    return seen
+
+
 def pinned_corpus():
     lines = pinned_corpus_text().splitlines()
     cleaned, _ = preprocess(SequenceCorpus.from_sequences([line.split() for line in lines]), 3)
@@ -463,19 +519,21 @@ class TestStationaryDistribution:
 
 
 class TestInducedEntropyRates:
-    def test_two_closed_classes_match_oracle(self):
+    def test_two_closed_classes_match_oracle(self, block_solves):
         P = two_closed_classes()
         exponents = [1, 10, 25, 40, 50, 54, 60]
         rates = induced_entropy_rates(P, [2.0**-i for i in exponents])
         for i, rate in zip(exponents, rates):
             assert abs(rate - oracle_induced_rate(P.rows, i)) < 1e-12, i
+        assert block_solves == []  # every point certified from the series
 
-    def test_periodic_cycle_matches_oracle(self):
+    def test_periodic_cycle_matches_oracle(self, block_solves):
         P = validate_stochastic(np.roll(np.eye(6), 1, axis=1), list("abcdef"))
         exponents = [1, 5, 20, 50]
         rates = induced_entropy_rates(P, [2.0**-i for i in exponents])
         for i, rate in zip(exponents, rates):
             assert abs(rate - oracle_induced_rate(P.rows, i)) < 1e-12, i
+        assert block_solves == []
 
     def test_single_state_is_binary_entropy(self):
         P = validate_stochastic([[1.0]], ["a"])
@@ -532,8 +590,71 @@ class TestInducedEntropyRates:
         expected_bits = stationary_distribution_estimate(conditioned).bits_per_symbol
         assert abs(report.bits_per_symbol - expected_bits) < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_series_matches_block_solves_on_reducible_chains(self, seed):
+        P = random_reducible_chain(np.random.default_rng(seed))
+        p_values = [2.0**-i for i in range(1, 61)]
+        rates = induced_entropy_rates(P, p_values)
+        for p, rate in zip(p_values, rates):
+            assert abs(rate - induced_entropy_rates(P, [p])[0]) <= 1e-12, p
+
+    @pytest.mark.parametrize(
+        "coupling, exponents, beyond",
+        [(1e-6, [1, 2, 3, 10], 4), (1e-2, list(range(1, 13)), 7)],
+        ids=["coupling-1e-6", "coupling-1e-2"],
+    )
+    def test_points_beyond_the_radius_take_the_block_solve(
+        self, coupling, exponents, beyond, block_solves, monkeypatch
+    ):
+        P = coupled_blocks(coupling)
+        series = markov._Blocks.series
+        terms = []
+        monkeypatch.setattr(
+            markov._Blocks, "series", lambda self, p: terms.extend(series(self, p)) or terms
+        )
+        p_values = [2.0**-i for i in exponents]
+        rates = induced_entropy_rates(P, p_values)
+        # The first `beyond` points lie outside the radius; the rest are summed.
+        assert block_solves == p_values[:beyond]
+        for i, rate in zip(exponents, rates):
+            assert abs(rate - oracle_induced_rate(P.rows, i)) < 1e-12, i
+        if beyond == len(exponents):  # the terms stop growing at once, not at the cap
+            [(_, _, coefficients)] = terms
+            assert len(coefficients) < markov._SERIES_MAX_TERMS
+
+    def test_points_the_series_cannot_certify_are_bit_identical_to_block_solves(
+        self, block_solves, monkeypatch
+    ):
+        monkeypatch.setattr(markov, "_SERIES_MAX_TERMS", 1)
+        P = two_closed_classes()
+        p_values = [2.0**-i for i in range(1, 26)]
+        rates = induced_entropy_rates(P, p_values)
+        assert block_solves == p_values
+        block_solves.clear()
+        assert rates == [induced_entropy_rates(P, [p])[0] for p in p_values]
+
+    def test_series_holds_at_most_two_dense_blocks_beyond_the_chain(self):
+        rng = np.random.default_rng(1500)
+        n, t = 1500, 10
+        rows = np.zeros((n, n))
+        for i in range(n):
+            rows[i, rng.integers(t, n, size=20)] = rng.random(20)
+        rows[t:, t:] += 0.5 * np.roll(np.eye(n - t), 1, axis=1)  # one closed class
+        P = validate_stochastic(rows / rows.sum(axis=1, keepdims=True), [f"s{i}" for i in range(n)])
+        del rows
+        tracemalloc.start()
+        try:
+            induced_entropy_rates(P, [2.0**-i for i in range(1, 26)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # P_CC, I - P_CC + 1v and its inverse: three |C|^2 blocks.
+        assert peak <= 3.1 * (n - t) ** 2 * 8
+
     def test_rejects_probabilities_outside_the_open_interval(self):
         P = validate_stochastic([[0.5, 0.5], [1.0, 0.0]], ["a", "b"])
         for p in (0.0, 1.0, -0.5, float("nan"), 2.0**-1075):
             with pytest.raises(InvalidProbabilityError):
                 induced_entropy_rates(P, [0.5, p])
+        assert induced_entropy_rates(P, []) == []

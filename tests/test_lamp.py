@@ -257,7 +257,9 @@ class TestLogLoss:
         for w in (KernelDistribution.point_mass(1), KernelDistribution([0.5, 0.5])):
             model = LampModel(P, w)
             seq = simulate_lamp(model, 3000, seed=1, init=0)
-            assert log_loss(model, seq, burn_in=10) == 0.0
+            loss = log_loss(model, seq, burn_in=10)
+            assert loss == 0.0
+            assert not math.copysign(1, loss) < 0  # +0.0, not -0.0
 
     def test_uniform_rows_exactly_one_bit(self):
         P = validate_stochastic([[0.5, 0.5], [0.5, 0.5]], ["a", "b"])
