@@ -18,6 +18,8 @@ import numpy as np
 from .corpus import SequenceCorpus, lagged_pair_counts
 from .errors import LagTooLargeError
 
+_SPLITTER = 2.0**27 + 1
+
 
 class CramersV(NamedTuple):
     value: float
@@ -63,9 +65,12 @@ def cramers_v(table: ContingencyTable) -> CramersV:
     row and column sums. With a single such row or column the table
     describes a constant variable, for which association is vacuous: the
     value is 0 and the degeneracy flag is set. Only nonzero cells are
-    read; the unobserved cells of row ``i`` add their expected counts,
-    ``r_i (N - sum of c_j over the row's observed columns) / N``, whose
-    bracket is an exact difference of integer counts.
+    read. An observed cell adds ``d^2 / (N r_i c_j)``, with
+    ``d = O N - r_i c_j`` formed from exact two-products, so it loses
+    no digits to cancellation. The unobserved cells of row ``i`` add
+    their expected counts, ``r_i (N - sum of c_j over the row's
+    observed columns) / N``, whose bracket is an exact difference of
+    integer counts.
     """
     n_rows, n_cols = table.counts.shape
     cells = np.flatnonzero(table.counts)
@@ -77,13 +82,31 @@ def cramers_v(table: ContingencyTable) -> CramersV:
     r, c = np.count_nonzero(row_sums), np.count_nonzero(col_sums)
     if total <= 0 or r < 2 or c < 2:
         return CramersV(0.0, True)
-    cell_cols = col_sums[cols]
-    expected = row_sums[rows] * cell_cols / total
-    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    cell_rows, cell_cols = row_sums[rows], col_sums[cols]
+    p, e = _two_product(observed, total)
+    q, f = _two_product(cell_rows, cell_cols)
+    d = (p - q) + (e - f)
+    chi2 = float((d * d / (total * cell_rows * cell_cols)).sum())
     unobserved_mass = total - np.bincount(rows, weights=cell_cols, minlength=n_rows)
     chi2 += float(row_sums @ unobserved_mass) / total
     value = math.sqrt(chi2 / (total * min(r - 1, c - 1)))
     return CramersV(min(max(value, 0.0), 1.0), False)
+
+
+def _two_product(a, b):
+    """``(p, e)`` with ``p = a * b`` rounded and ``p + e`` exactly ``a * b``
+    (Dekker, Numer. Math. 18, 1971): each factor splits by ``2^27 + 1``
+    into two halves whose products are exact in float64."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _split(a):
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 def dependency_profile(seq, max_lag: int, include_lag0: bool = False) -> list[ProfilePoint]:

@@ -16,12 +16,10 @@ import numpy as np
 
 from .errors import EmptyHistoryError, TooShortError, ZeroProbabilityError
 from .markov import (
-    _TABLE_SAMPLING_MAX_STATES,
-    _bisect_cells,
     _check_probabilities,
     _inverse_cdf,
-    _next_state_table,
     _resolve_init,
+    _walk,
     TransitionMatrix,
     entropy_rate,
     stationary_distribution,
@@ -113,43 +111,25 @@ def simulate_lamp(
 
     Each step consumes two uniform draws: one selects the backward lag
     through the kernel's inverse CDF, the next selects the successor
-    state from the chosen source row. ``init`` seeds the single first
-    symbol (``None`` draws it from the stationary distribution of the
-    matrix); lags pointing before the start clamp to that symbol. Draws
-    land only on lags of positive weight and on transitions of positive
-    probability, including a draw of 0 and one above a total that
-    rounded below 1.
+    state from the chosen source row, in the walk that
+    :func:`markov.simulate_markov` takes from the previous state
+    (``markov._walk``). ``init`` seeds the single first symbol (``None``
+    draws it from the stationary distribution of the matrix); lags
+    pointing before the start clamp to that symbol. Draws land only on
+    lags of positive weight and on transitions of positive probability,
+    including a draw of 0 and one above a total that rounded below 1.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     matrix = model.matrix
     rng = np.random.default_rng(seed)
     first = _resolve_init(matrix, init, rng)
-    labels = matrix.states.labels
-    if n_steps == 1:
-        return [labels[first]]
-
     u = rng.random((n_steps - 1, 2))
     [(lag_cum, lag_cols)] = _inverse_cdf(model.kernel.weights)
     lag_idx = lag_cols[np.searchsorted(lag_cum, u[:, 0], side="left")]
     # Source position for step t is max(0, t - q_t); always already sampled.
     sources = np.maximum(np.arange(1, n_steps) - (lag_idx + 1), 0).tolist()
-
-    states = [0] * n_steps
-    states[0] = first
-    if matrix.n <= _TABLE_SAMPLING_MAX_STATES:
-        table = _next_state_table(matrix.rows, u[:, 1])
-        for t in range(1, n_steps):
-            states[t] = table[states[sources[t - 1]]][t - 1]
-    else:
-        from bisect import bisect_left
-
-        cells = _bisect_cells(matrix.rows)
-        draws = u[:, 1].tolist()
-        for t in range(1, n_steps):
-            cum, cols = cells[states[sources[t - 1]]]
-            states[t] = cols[bisect_left(cum, draws[t - 1])]
-    return [labels[i] for i in states]
+    return _walk(matrix, first, u[:, 1].tolist(), sources)
 
 
 def lamp_entropy_rate(model: LampModel) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Sequence
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -34,11 +34,6 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-9
 STATIONARY_RESIDUAL_TOL = 1e-8
-
-# Next-state sampling precomputes a full quantile table when the state
-# space is small; above this bound it bisects each row's positive cells
-# step by step.
-_TABLE_SAMPLING_MAX_STATES = 64
 
 # Most terms of the series in p that one closed class may take.
 _SERIES_MAX_TERMS = 100
@@ -484,36 +479,37 @@ def simulate_markov(
     ``init`` is a state index or label; ``None`` draws the first symbol
     from the stationary distribution. Output is fully determined by the
     seed: one uniform draw per transition, mapped through the inverse
-    CDF of the relevant row (ties on a cumulative boundary resolve to
-    the lower index). Draws land only on cells of positive probability,
-    including a draw of 0 and one above a row total that rounded below 1.
+    CDF of the current state's row by :func:`_walk` (ties on a
+    cumulative boundary resolve to the lower index). Draws land only on
+    cells of positive probability, including a draw of 0 and one above a
+    row total that rounded below 1.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     rng = np.random.default_rng(seed)
     first = _resolve_init(matrix, init, rng)
-    labels = matrix.states.labels
-    if n_steps == 1:
-        return [labels[first]]
-    u = rng.random(n_steps - 1)
-    states = [0] * n_steps
-    states[0] = first
-    if matrix.n <= _TABLE_SAMPLING_MAX_STATES:
-        table = _next_state_table(matrix.rows, u)
-        prev = first
-        for t in range(1, n_steps):
-            prev = table[prev][t - 1]
-            states[t] = prev
-    else:
-        from bisect import bisect_left
+    return _walk(matrix, first, rng.random(n_steps - 1).tolist(), range(n_steps - 1))
 
-        cells = _bisect_cells(matrix.rows)
-        draws = u.tolist()
-        prev = first
-        for t in range(1, n_steps):
-            cum, cols = cells[prev]
-            prev = cols[bisect_left(cum, draws[t - 1])]
-            states[t] = prev
+
+def _walk(matrix: TransitionMatrix, first: int, draws, sources) -> list[str]:
+    """Labels of the path from state ``first`` that takes one step per
+    draw: step ``t`` leaves the state at position ``sources[t]`` for the
+    first positive cell of its row whose cumulative sum is >= ``draws[t]``,
+    found by bisection. The one sampler behind :func:`simulate_markov`
+    and :func:`lamp.simulate_lamp`. Rows with no zero cell share one list
+    of column numbers: indexing a ``range`` would build an int every step.
+    """
+    every = list(range(matrix.n))
+    cells = [
+        (cum.tolist(), every if cols.size == matrix.n else cols.tolist())
+        for cum, cols in _inverse_cdf(matrix.rows)
+    ]
+    states = [first]
+    append = states.append
+    for s, d in zip(sources, draws):
+        cum, cols = cells[states[s]]
+        append(cols[bisect_left(cum, d)])
+    labels = matrix.states.labels
     return [labels[i] for i in states]
 
 
@@ -552,26 +548,6 @@ def _inverse_cdf(probs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     cum[ends - 1] = np.inf
     bounds = [0, *ends.tolist()]
     return [(cum[a:b], cols[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-
-def _next_state_table(rows: np.ndarray, u: np.ndarray) -> list[list[int]]:
-    """Per-source next states for each uniform draw, via the inverse CDF."""
-    return [
-        cols[np.searchsorted(cum, u, side="left")].tolist() for cum, cols in _inverse_cdf(rows)
-    ]
-
-
-def _bisect_cells(rows: np.ndarray) -> list[tuple[list[float], Sequence[int]]]:
-    """:func:`_inverse_cdf` as Python lists, for per-step ``bisect_left``.
-
-    A row with no zero cell shares one ``range`` for its columns, so a
-    dense matrix holds no list of column numbers.
-    """
-    every = range(rows.shape[1])
-    return [
-        (cum.tolist(), every if cols.size == len(every) else cols.tolist())
-        for cum, cols in _inverse_cdf(rows)
-    ]
 
 
 @dataclass(frozen=True)

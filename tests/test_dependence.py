@@ -121,12 +121,27 @@ class TestCramersV:
     @example(np.array([[0, 0], [7, 0], [2, 0]]))  # one nonzero column: degenerate
     @example(np.zeros((3, 3), dtype=np.int64))  # no pairs: degenerate
     @example(np.array([[10**12, 0, 0], [0, 1, 0], [0, 0, 10**12]]))
+    @example(np.array([[3, 4], [4, 6]]))  # V = 1/35; (O - E)^2 / E cancels
     def test_matches_fraction_chi_squared(self, counts):
         labels_r = tuple(f"r{i}" for i in range(counts.shape[0]))
         labels_c = tuple(f"c{i}" for i in range(counts.shape[1]))
         got = cramers_v(ContingencyTable(labels_r, labels_c, counts))
         want, degenerate = exact_cramers_v(counts)
         assert got.degenerate == degenerate
+        assert math.isclose(got.value, want, rel_tol=1e-15), (got.value, want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_near_independent_large_counts(self, seed):
+        # A rank-1 table of counts between 1e10 and 1e12 is independent;
+        # nudging each cell by at most two leaves O N and r_i c_j equal to
+        # about 15 digits, which O - E loses to cancellation.
+        rng = np.random.default_rng(seed)
+        counts = np.outer(rng.integers(10**5, 10**6, 4), rng.integers(10**5, 10**6, 5))
+        counts += rng.integers(-2, 3, counts.shape)
+        labels_r = tuple(f"r{i}" for i in range(4))
+        labels_c = tuple(f"c{i}" for i in range(5))
+        got = cramers_v(ContingencyTable(labels_r, labels_c, counts))
+        want, _ = exact_cramers_v(counts)
         assert math.isclose(got.value, want, rel_tol=1e-15), (got.value, want)
 
 

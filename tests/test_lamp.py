@@ -62,8 +62,9 @@ THREE_STATE = validate_stochastic(
 )
 
 # sha256 of the newline-joined labels of 5,000 steps at seed 17 under the
-# spike-7 kernel, by (chain, init, sampler): THREE_STATE runs the
-# samplers' quantile table, the 80-state sparse chain their bisection.
+# spike-7 kernel, by (chain, init, sampler): THREE_STATE, the 80-state
+# sparse chain (rows of a few positive cells) and a dense 70-state chain
+# (every row shares one list of column numbers).
 PINNED_STREAMS = {
     ("three", None, "lamp"): "803eb157d48175082c038754064fe37c37405f98168df9ec07b1b18c491dcc53",
     ("three", None, "markov"): "1389899863d9c71bbfb2fa2298a02772843100938870a6ee5945e21c7d1a77b8",
@@ -74,6 +75,15 @@ PINNED_STREAMS = {
         "393fe45430ad0717e2cec266de10db146e2f3d455a41e80820d890ec2e59790c",
     ("sparse80", 1, "lamp"): "2e96291078929bd640384a954ac1c9587f4020aff510aeea517fec349b463450",
     ("sparse80", 1, "markov"): "cb4c8481d841f5cce4cb13ad5ec00c815002d7686ddc95f33dbcf5a6d76a13f9",
+    ("dense70", None, "lamp"): "8ee249ab9f4c60c10f0d06cf07887cf193200dd97982b28461be4315da9f1d8a",
+    ("dense70", None, "markov"): "1ca456ddfde1c722e0fc4e80da23bf653ee677f9047e762141136106d19a4122",
+    ("dense70", 1, "lamp"): "a0a8f94a182d66cd01c1b9d6b8b502d2d321067b7cd8b49caee3a06117fb7c1c",
+    ("dense70", 1, "markov"): "31570e40395f02192b54cb9323af1c793e5d4c259893fd804554df1d8887ed32",
+}
+PINNED_CHAINS = {
+    "three": lambda: THREE_STATE,
+    "sparse80": lambda: sparse_chain(80, 5),
+    "dense70": lambda: random_ergodic(70, np.random.default_rng(5)),
 }
 
 
@@ -196,7 +206,7 @@ class TestSimulateLamp:
     @pytest.mark.parametrize("case", list(PINNED_STREAMS))
     def test_seeded_streams_pinned(self, case):
         chain, init, sampler = case
-        matrix = THREE_STATE if chain == "three" else sparse_chain(80, 5)
+        matrix = PINNED_CHAINS[chain]()
         if sampler == "lamp":
             tokens = simulate_lamp(LampModel(matrix, SPIKE_7), 5000, seed=17, init=init)
         else:
@@ -219,6 +229,30 @@ class TestSimulateLamp:
         model = LampModel(cycle, KernelDistribution([0.0, *SHORT_ROW, 0.0]))
         path = simulate_lamp(model, 30, seed=FixedDraws(u), init=0)
         assert np.isfinite(step_log2_probs(model, path)).all()
+
+    @pytest.mark.parametrize("init", [None, 1])
+    def test_one_step_is_first_symbol(self, init):
+        model = LampModel(sparse_chain(80, 5), SPIKE_7)
+        path = simulate_lamp(model, 50, seed=3, init=init)
+        assert simulate_lamp(model, 1, seed=3, init=init) == path[:1]
+
+    def test_zero_steps_rejected(self):
+        with pytest.raises(ValueError):
+            simulate_lamp(LampModel(THREE_STATE, SPIKE_7), 0, seed=0)
+
+    def test_dense_working_memory(self):
+        # The path, its draws and its sources as lists, and one (cum, cols)
+        # pair of lists per row: about 110 bytes a step at any number of
+        # states. Anything held per state and per step breaks the bound.
+        steps = 250_000
+        model = LampModel(random_ergodic(64, np.random.default_rng(2)), SPIKE_7)
+        tracemalloc.start()
+        try:
+            simulate_lamp(model, steps, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160 * steps
 
     def test_long_run_frequencies_match_stationary(self):
         rng = np.random.default_rng(13)

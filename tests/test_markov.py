@@ -54,7 +54,7 @@ def random_ergodic(n, rng, floor=0.1):
 SHORT_ROW = [0.06, 0.61, 0.08, 0.07, 0.18]
 NEAR_ONE = float(np.nextafter(1.0, 0.0))
 
-# Both sides of the samplers' table/bisect size threshold (64 states).
+# Short-row chains where zero cells are few (7 states) and most (70).
 SAMPLER_SIZES = [7, 70]
 
 
@@ -251,6 +251,17 @@ class TestSimulateMarkov:
     def test_init_by_label(self):
         P = validate_stochastic([[0.0, 1.0], [1.0, 0.0]], ["a", "b"])
         assert simulate_markov(P, 3, seed=0, init="b") == ["b", "a", "b"]
+
+    @pytest.mark.parametrize("init", [None, 2])
+    def test_one_step_is_first_symbol(self, init):
+        P = random_ergodic(5, np.random.default_rng(3))
+        path = simulate_markov(P, 50, seed=4, init=init)
+        assert simulate_markov(P, 1, seed=4, init=init) == path[:1]
+
+    def test_zero_steps_rejected(self):
+        P = validate_stochastic([[1.0]], ["a"])
+        with pytest.raises(ValueError):
+            simulate_markov(P, 0, seed=0)
 
     def test_invalid_init(self):
         P = validate_stochastic([[1.0]], ["a"])
