@@ -26,8 +26,10 @@ from . import __version__
 from .conditioning import DEFAULT_P_ARTIFICIAL, Induced, LargestCC
 from .corpus import DEFAULT_RARE_TOKEN, load_sequences, preprocess
 from .dependence import corpus_dependency_profile, write_profile_csv
-from .errors import ConfigError, LampError
+from .errors import ConfigError, LampError, UnwritableLabelError
 from .estimators import (
+    DEFAULT_LAMP_SWEEP_EXPONENTS,
+    DEFAULT_MARKOV_SWEEP_EXPONENTS,
     lamp_plugin_estimate,
     markov_plugin_estimate,
     path_level_estimate,
@@ -36,7 +38,7 @@ from .estimators import (
     sweep_p_artificial,
     write_sweep_csv,
 )
-from .fitting import fit_first_order, fit_lamp_em
+from .fitting import DEFAULT_EM_MAX_ITER, DEFAULT_EM_TOL, fit_first_order, fit_lamp_em
 from .lamp import load_model, save_model, simulate_lamp
 from .markov import EncodedJSON, load_matrix_csv, load_matrix_json, simulate_markov, write_json
 
@@ -73,8 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(fit)
     _add_preprocess_args(fit)
     fit.add_argument("--k", type=int, required=True, help="kernel order")
-    fit.add_argument("--max-iter", type=int, default=500)
-    fit.add_argument("--tol", type=float, default=1e-6)
+    _add_em_args(fit)
     fit.add_argument("--output", required=True, help="fitted model JSON")
     fit.add_argument("--report", default=None, help="fit report JSON (default: <output>.report.json)")
     fit.set_defaults(func=_cmd_fit)
@@ -90,8 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     ent.add_argument("--conditioning", choices=["largest-cc", "induced"], default="induced")
     ent.add_argument("--p-artificial", type=float, default=DEFAULT_P_ARTIFICIAL)
     ent.add_argument("--k", type=int, default=None, help="kernel order (lamp method)")
-    ent.add_argument("--max-iter", type=int, default=500)
-    ent.add_argument("--tol", type=float, default=1e-6)
+    _add_em_args(ent)
     ent.add_argument("--output", required=True, help="report JSON")
     ent.set_defaults(func=_cmd_entropy)
 
@@ -101,9 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--model-kind", choices=["markov", "lamp"], default="markov")
     swp.add_argument("--k", type=int, default=None, help="kernel order (lamp kind)")
     swp.add_argument("--i-min", type=int, default=1)
-    swp.add_argument("--i-max", type=int, default=None, help="default 25 (markov) or 50 (lamp)")
-    swp.add_argument("--max-iter", type=int, default=500)
-    swp.add_argument("--tol", type=float, default=1e-6)
+    swp.add_argument(
+        "--i-max",
+        type=int,
+        default=None,
+        help=f"default {DEFAULT_MARKOV_SWEEP_EXPONENTS[-1]} (markov) or "
+        f"{DEFAULT_LAMP_SWEEP_EXPONENTS[-1]} (lamp)",
+    )
+    _add_em_args(swp)
     swp.add_argument("--output", required=True, help="sweep CSV")
     swp.set_defaults(func=_cmd_sweep)
 
@@ -134,6 +139,11 @@ def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
 def _add_preprocess_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-count", type=int, default=10, help="rare-token threshold")
     parser.add_argument("--rare-token", default=DEFAULT_RARE_TOKEN)
+
+
+def _add_em_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-iter", type=int, default=DEFAULT_EM_MAX_ITER)
+    parser.add_argument("--tol", type=float, default=DEFAULT_EM_TOL)
 
 
 def main(argv=None) -> int:
@@ -186,21 +196,35 @@ def _write_sidecar(path, config: RunConfig, extra: dict | None = None) -> None:
     write_json(doc, f"{path}.run.json")
 
 
-def _write_lines(path, sequences) -> None:
+def _write_lines(path, sequences, labels) -> None:
+    # Each label the sequences may hold is checked once, not per token:
+    # one that is empty or holds whitespace would not read back as one token.
+    for label in labels:
+        if label.split() != [label]:
+            raise UnwritableLabelError(
+                f"label {label!r} is empty or holds whitespace, so a Lines file cannot hold it"
+            )
     with open(path, "w", encoding="utf-8") as fh:
         for seq in sequences:
             fh.write(" ".join(seq) + "\n")
 
 
 def _load_corpus(args):
-    if args.format == "tsv" and (args.group_col is None or args.item_col is None):
-        raise ConfigError("tsv input needs --group-col and --item-col")
+    if args.format == "tsv":
+        if args.group_col is None or args.item_col is None:
+            raise ConfigError("tsv input needs --group-col and --item-col")
+        if args.group_col < 0 or args.item_col < 0:
+            raise ConfigError(
+                f"--group-col and --item-col must be >= 0, got {args.group_col} and {args.item_col}"
+            )
     return load_sequences(args.input, args.format, args.group_col, args.item_col)
 
 
 def _preprocessed_corpus(args):
     if args.min_count < 1:
         raise ConfigError(f"--min-count must be >= 1, got {args.min_count}")
+    if args.rare_token.split() != [args.rare_token]:
+        raise ConfigError(f"--rare-token must be one token with no whitespace, got {args.rare_token!r}")
     corpus = _load_corpus(args)
     cleaned, stages = preprocess(corpus, args.min_count, args.rare_token)
     info = {
@@ -236,12 +260,14 @@ def _cmd_simulate(args, config: RunConfig) -> None:
         raise ConfigError("--steps must be >= 1")
     if args.model is not None:
         model = load_model(args.model)
+        labels = model.matrix.labels
         tokens = simulate_lamp(model, args.steps, args.seed, args.init)
     else:
         suffix = Path(args.matrix).suffix.lower()
         matrix = load_matrix_csv(args.matrix) if suffix == ".csv" else load_matrix_json(args.matrix)
+        labels = matrix.labels
         tokens = simulate_markov(matrix, args.steps, args.seed, args.init)
-    _write_lines(args.output, [tokens])
+    _write_lines(args.output, [tokens], labels)
     _write_sidecar(args.output, config)
     print(f"wrote {args.steps} symbols to {args.output}")
 
@@ -297,7 +323,10 @@ def _cmd_sweep(args, config: RunConfig) -> None:
         if args.k is None:
             raise ConfigError("--model-kind lamp needs --k")
         _check_em_args(args)
-    i_max = args.i_max if args.i_max is not None else (50 if args.model_kind == "lamp" else 25)
+    i_max = args.i_max
+    if i_max is None:
+        lamp = args.model_kind == "lamp"
+        i_max = (DEFAULT_LAMP_SWEEP_EXPONENTS if lamp else DEFAULT_MARKOV_SWEEP_EXPONENTS)[-1]
     if args.i_min < 1 or i_max < args.i_min:
         raise ConfigError(f"invalid exponent range {args.i_min}..{i_max}")
     if 2.0**-i_max == 0.0:
@@ -332,7 +361,7 @@ def _cmd_profile(args, config: RunConfig) -> None:
 
 def _cmd_preprocess(args, config: RunConfig) -> None:
     corpus, info = _preprocessed_corpus(args)
-    _write_lines(args.output, corpus.sequences)
+    _write_lines(args.output, corpus.sequences, corpus.vocabulary.labels)
     _write_sidecar(args.output, config)
     report_path = args.report or f"{args.output}.report.json"
     _write_json(report_path, {"preprocessing": info}, config)

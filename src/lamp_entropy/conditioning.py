@@ -1,8 +1,12 @@
 """Reducibility diagnosis and repair for transition matrices.
 
 Two repair strategies are provided: restricting the chain to its
-largest strongly connected component, and appending a low-probability
-artificial state that links every state to every other.
+largest strongly connected component (:class:`LargestCC`), and
+appending a low-probability artificial state that links every state to
+every other (:class:`Induced`). Each strategy's ``_apply``, ``_law``
+and ``_rate`` give the conditioned matrix, the stationary law and the
+entropy rate in bits, each with the step's report; no other module
+tells the strategies apart.
 
 The entropy rate and the stationary law under the artificial state
 come from the block solve of :mod:`lamp_entropy.markov`, without
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,9 +42,37 @@ class SccPartition:
     largest_id: int
 
 
+def _step_report(method: str, excluded: int, p_artificial, n_before: int, n_after: int) -> dict:
+    """The JSON-ready report of a conditioning step."""
+    return {
+        "method": method,
+        "excluded": excluded,
+        "p_artificial": p_artificial,
+        "n_before": n_before,
+        "n_after": n_after,
+    }
+
+
 @dataclass(frozen=True)
 class LargestCC:
     """Conditioning strategy: keep only the largest strongly connected component."""
+
+    name: ClassVar[str] = "largest_cc"
+
+    def _apply(self, matrix: TransitionMatrix) -> tuple[TransitionMatrix, dict]:
+        restricted, _, excluded = restrict_to_largest_scc(matrix)
+        return restricted, _step_report("largest_scc", excluded, None, matrix.n, restricted.n)
+
+    # The restriction keeps the component's edges: it is solved as one
+    # class, not condensed a second time.
+    def _law(self, matrix: TransitionMatrix) -> tuple[np.ndarray, dict]:
+        restricted, report = apply_conditioning(matrix, self)
+        return _Blocks(restricted.rows, irreducible=True).stationary(0.0), report
+
+    def _rate(self, matrix: TransitionMatrix) -> tuple[float, dict]:
+        restricted, report = apply_conditioning(matrix, self)
+        blocks = _Blocks(restricted.rows, irreducible=True)
+        return max(0.0, float(blocks.stationary(0.0) @ blocks.h)), report
 
 
 @dataclass(frozen=True)
@@ -47,6 +80,23 @@ class Induced:
     """Conditioning strategy: append an artificial state with weight ``p_artificial``."""
 
     p_artificial: float = DEFAULT_P_ARTIFICIAL
+    name: ClassVar[str] = "induced"
+
+    def _apply(self, matrix: TransitionMatrix) -> tuple[TransitionMatrix, dict]:
+        return induce_irreducibility(matrix, self.p_artificial), self._report(matrix)
+
+    def _law(self, matrix: TransitionMatrix) -> tuple[np.ndarray, dict]:
+        """The law of the (n+1)-state chain, ``[x(p), p]/(1 + p)``, from the block solve."""
+        p = self.p_artificial
+        _check_p_artificial(p)
+        x = _Blocks(matrix.rows).stationary(p)
+        return np.append(x, p) / (1.0 + p), self._report(matrix)
+
+    def _rate(self, matrix: TransitionMatrix) -> tuple[float, dict]:
+        return induced_entropy_rates(matrix, [self.p_artificial])[0], self._report(matrix)
+
+    def _report(self, matrix: TransitionMatrix) -> dict:
+        return _step_report("induced", 0, self.p_artificial, matrix.n, matrix.n + 1)
 
 
 def strongly_connected_components(
@@ -196,43 +246,12 @@ def _rate(p: float, xh: float, mass: float, log2_n: float) -> float:
     return rate
 
 
-def _induced_stationary_law(matrix: TransitionMatrix, p_artificial: float) -> np.ndarray:
-    """Stationary law of ``induce_irreducibility(matrix, p_artificial)``, from the block solve."""
-    _check_p_artificial(p_artificial)
-    x = _Blocks(matrix.rows).stationary(p_artificial)
-    return np.append(x, p_artificial) / (1.0 + p_artificial)
-
-
-def conditioning_report(strategy: LargestCC | Induced, n_before: int, n_after: int) -> dict:
-    """The JSON-ready report of a conditioning step.
-
-    Method, excluded state count, the artificial weight (or null), and
-    the state counts before and after.
-    """
-    if isinstance(strategy, LargestCC):
-        method, excluded, p_artificial = "largest_scc", n_before - n_after, None
-    else:
-        method, excluded, p_artificial = "induced", 0, strategy.p_artificial
-    return {
-        "method": method,
-        "excluded": excluded,
-        "p_artificial": p_artificial,
-        "n_before": n_before,
-        "n_after": n_after,
-    }
-
-
 def apply_conditioning(
     matrix: TransitionMatrix, strategy: LargestCC | Induced
 ) -> tuple[TransitionMatrix, dict]:
-    """Apply a conditioning strategy; returns the new matrix and its report.
-
-    The report is :func:`conditioning_report`'s.
-    """
-    if isinstance(strategy, LargestCC):
-        conditioned, _, _ = restrict_to_largest_scc(matrix)
-    elif isinstance(strategy, Induced):
-        conditioned = induce_irreducibility(matrix, strategy.p_artificial)
-    else:
+    """Apply a conditioning strategy; returns the new matrix and its report:
+    the method, excluded state count, artificial weight (or null), and the
+    state counts before and after."""
+    if not isinstance(strategy, (LargestCC, Induced)):
         raise TypeError(f"unknown conditioning strategy {strategy!r}")
-    return conditioned, conditioning_report(strategy, matrix.n, conditioned.n)
+    return strategy._apply(matrix)

@@ -161,6 +161,8 @@ def load_sequences(
     if fmt == "tsv":
         if group_col is None or item_col is None:
             raise ValueError("tsv format needs group_col and item_col")
+        if group_col < 0 or item_col < 0:
+            raise ValueError(f"tsv columns must be >= 0, got {group_col} and {item_col}")
         width = max(group_col, item_col) + 1
         groups: dict[str, list[str]] = {}
         with open(path, "r", encoding="utf-8") as fh:

@@ -9,11 +9,15 @@ class NonSquareError(LampError):
     """Raw transition data is not a square matrix."""
 
 
-class NegativeEntryError(LampError):
+class NotADistributionError(LampError):
+    """A vector is not a probability distribution."""
+
+
+class NegativeEntryError(NotADistributionError):
     """A probability entry is negative."""
 
 
-class RowSumError(LampError):
+class RowSumError(NotADistributionError):
     """A matrix row does not sum to 1 within tolerance."""
 
 
@@ -77,12 +81,12 @@ class DegenerateInitError(LampError):
     """A fit was initialised with structural zeros that the data requires."""
 
 
-class NotADistributionError(LampError):
-    """A vector is not a probability distribution."""
-
-
 class LagTooLargeError(LampError):
     """The requested lag exceeds what the sequence can support."""
+
+
+class UnwritableLabelError(LampError):
+    """A label cannot be written as one token of a Lines file."""
 
 
 class ConfigError(LampError):

@@ -3,11 +3,12 @@
 Three empirical estimators work on raw symbol frequencies; the plug-in
 estimators substitute fitted transition matrices (first-order or
 lag-mixture) into the closed-form entropy rate after conditioning the
-matrix to be irreducible (under an artificial state, through
-:func:`induced_entropy_rates`). The sweep conditions one fitted matrix at
-``p = 2**-i`` over a range of exponents in one call, which factors each
-closed class once for all of them (a series in ``p``), and looks for
-the plateau where the estimate stabilises.
+matrix to be irreducible; the strategy (:class:`LargestCC` or
+:class:`Induced`) gives the rate or law and its report. The sweep
+conditions one fitted matrix at ``p = 2**-i`` over a range of exponents
+in one call, which factors each closed class once for all of them (a
+series in ``p``), and looks for the plateau where the estimate
+stabilises.
 """
 
 from __future__ import annotations
@@ -18,27 +19,12 @@ from enum import Enum
 
 import numpy as np
 
-from .conditioning import (
-    Induced,
-    LargestCC,
-    _induced_stationary_law,
-    apply_conditioning,
-    conditioning_report,
-    induced_entropy_rates,
-)
+from .conditioning import Induced, LargestCC, induced_entropy_rates
 from .corpus import SequenceCorpus
 from .errors import EmptyCorpusError, EmptySequenceError, NotADistributionError
-from .fitting import fit_first_order, fit_lamp_em
+from .fitting import DEFAULT_EM_MAX_ITER, DEFAULT_EM_TOL, fit_first_order, fit_lamp_em
 from .lamp import KernelDistribution
-from .markov import (
-    ROW_SUM_TOL,
-    StationaryDistribution,
-    TransitionMatrix,
-    _Blocks,
-    _reject_non_finite,
-    entropy_rate,
-    stationary_distribution,
-)
+from .markov import TransitionMatrix, _check_probabilities, stationary_distribution
 
 DEFAULT_MARKOV_SWEEP_EXPONENTS = range(1, 26)
 DEFAULT_LAMP_SWEEP_EXPONENTS = range(1, 51)
@@ -91,13 +77,7 @@ def shannon_entropy(dist) -> float:
     arr = np.asarray(dist, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise NotADistributionError("expected a non-empty 1-D probability vector")
-    # Positive assertions, so that NaN fails them.
-    if not (arr >= 0).all():
-        _reject_non_finite(arr, "probabilities")
-        raise NotADistributionError("probabilities must be non-negative")
-    if not abs(arr.sum() - 1.0) < ROW_SUM_TOL:
-        _reject_non_finite(arr, "probabilities")
-        raise NotADistributionError(f"probabilities sum to {arr.sum()!r}, expected 1")
+    _check_probabilities(arr, "probabilities")
     positive = arr[arr > 0.0]
     value = float(-(positive * np.log2(positive)).sum())
     return value if value > 0.0 else 0.0
@@ -150,12 +130,8 @@ def stationary_distribution_estimate(
     """
     if conditioning is None:
         probs, report = stationary_distribution(matrix, check_irreducible=True).probs, None
-    elif isinstance(conditioning, Induced):
-        probs = _induced_stationary_law(matrix, conditioning.p_artificial)
-        report = conditioning_report(conditioning, matrix.n, matrix.n + 1)
     else:
-        _, law, report = _largest_cc_law(matrix, conditioning)
-        probs = law.probs
+        probs, report = conditioning._law(matrix)
     return EntropyReport(
         EstimatorMethod.STATIONARY_DISTRIBUTION,
         shannon_entropy(probs),
@@ -171,39 +147,13 @@ def markov_plugin_estimate(
 ) -> EntropyReport:
     """Entropy rate of the first-order fit after conditioning."""
     fitted = fit_first_order(corpus, smoothing=0.0)
-    bits, report = _conditioned_rate(fitted, conditioning)
-    method = (
-        EstimatorMethod.MARKOV_LARGEST_CC
-        if isinstance(conditioning, LargestCC)
-        else EstimatorMethod.MARKOV_INDUCED
-    )
+    bits, report = conditioning._rate(fitted)
     return EntropyReport(
-        method,
+        EstimatorMethod(f"markov_{conditioning.name}"),
         bits,
         conditioning=report,
         preprocessing=preprocessing,
     )
-
-
-def _conditioned_rate(
-    matrix: TransitionMatrix, conditioning: LargestCC | Induced
-) -> tuple[float, dict]:
-    """Entropy rate after conditioning, and the conditioning report."""
-    if isinstance(conditioning, Induced):
-        bits = induced_entropy_rates(matrix, [conditioning.p_artificial])[0]
-        return bits, conditioning_report(conditioning, matrix.n, matrix.n + 1)
-    conditioned, law, report = _largest_cc_law(matrix, conditioning)
-    return entropy_rate(conditioned, law), report
-
-
-def _largest_cc_law(
-    matrix: TransitionMatrix, conditioning: LargestCC
-) -> tuple[TransitionMatrix, StationaryDistribution, dict]:
-    """The largest SCC, its stationary law and the report. The restriction
-    keeps the component's edges: one class, not condensed a second time."""
-    conditioned, report = apply_conditioning(matrix, conditioning)
-    law = _Blocks(conditioned.rows, irreducible=True).stationary(0.0)
-    return conditioned, StationaryDistribution(conditioned.states, law), report
 
 
 def lamp_plugin_estimate(
@@ -212,8 +162,8 @@ def lamp_plugin_estimate(
     conditioning: LargestCC | Induced,
     *,
     init: tuple[KernelDistribution, TransitionMatrix] | None = None,
-    max_iter: int | None = None,
-    tol: float | None = None,
+    max_iter: int = DEFAULT_EM_MAX_ITER,
+    tol: float = DEFAULT_EM_TOL,
     preprocessing: dict | None = None,
 ) -> EntropyReport:
     """Entropy rate of the fitted lag-mixture's matrix after conditioning.
@@ -221,20 +171,10 @@ def lamp_plugin_estimate(
     The fitted kernel is reported in the details but does not enter the
     value: the entropy rate depends on the transition matrix alone.
     """
-    kwargs = {}
-    if max_iter is not None:
-        kwargs["max_iter"] = max_iter
-    if tol is not None:
-        kwargs["tol"] = tol
-    fit = fit_lamp_em(corpus, k, init=init, **kwargs)
-    bits, report = _conditioned_rate(fit.model.matrix, conditioning)
-    method = (
-        EstimatorMethod.LAMP_LARGEST_CC
-        if isinstance(conditioning, LargestCC)
-        else EstimatorMethod.LAMP_INDUCED
-    )
+    fit = fit_lamp_em(corpus, k, init=init, max_iter=max_iter, tol=tol)
+    bits, report = conditioning._rate(fit.model.matrix)
     return EntropyReport(
-        method,
+        EstimatorMethod(f"lamp_{conditioning.name}"),
         bits,
         conditioning=report,
         preprocessing=preprocessing,
@@ -252,8 +192,8 @@ def sweep_p_artificial(
     k: int | None = None,
     exponents=None,
     *,
-    max_iter: int | None = None,
-    tol: float | None = None,
+    max_iter: int = DEFAULT_EM_MAX_ITER,
+    tol: float = DEFAULT_EM_TOL,
 ) -> SweepResult:
     """Entropy estimates across artificial weights ``p = 2**-i``.
 
@@ -271,12 +211,7 @@ def sweep_p_artificial(
             raise ValueError("lamp sweeps need the kernel order k")
         if exponents is None:
             exponents = DEFAULT_LAMP_SWEEP_EXPONENTS
-        kwargs = {}
-        if max_iter is not None:
-            kwargs["max_iter"] = max_iter
-        if tol is not None:
-            kwargs["tol"] = tol
-        fitted = fit_lamp_em(corpus, k, **kwargs).model.matrix
+        fitted = fit_lamp_em(corpus, k, max_iter=max_iter, tol=tol).model.matrix
     else:
         raise ValueError(f"unknown model kind {kind!r}")
 

@@ -145,11 +145,6 @@ def validate_stochastic(raw, labels) -> TransitionMatrix:
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {arr.shape}")
-    labels = list(labels)
-    if arr.shape[0] != len(labels):
-        raise DimensionMismatchError(
-            f"{len(labels)} labels for a {arr.shape[0]}-row matrix"
-        )
     sums = _check_probabilities(arr, "transition probabilities")
     return TransitionMatrix(StateSpace(tuple(labels)), arr / sums[:, None])
 

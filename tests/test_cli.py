@@ -19,7 +19,9 @@ from lamp_entropy import (
     simulate_markov,
     validate_stochastic,
 )
-from lamp_entropy.cli import main
+from lamp_entropy.cli import build_parser, main
+from lamp_entropy.estimators import DEFAULT_LAMP_SWEEP_EXPONENTS, DEFAULT_MARKOV_SWEEP_EXPONENTS
+from lamp_entropy.fitting import DEFAULT_EM_MAX_ITER, DEFAULT_EM_TOL
 
 from test_markov import random_ergodic
 
@@ -58,6 +60,18 @@ class TestSimulate:
         sidecar = json.loads((tmp_path / "s1.lines.run.json").read_text())
         assert sidecar["subcommand"] == "simulate"
         assert sidecar["params"]["seed"] == 7
+
+    def test_label_with_whitespace_is_rejected(self, tmp_path, capsys):
+        spaced = validate_stochastic([[0.2, 0.8], [0.7, 0.3]], ["new york", "b"])
+        model = tmp_path / "spaced.json"
+        save_model(LampModel(spaced, KernelDistribution([1.0])), model)
+        out = tmp_path / "s.lines"
+        code = run(["simulate", "--model", model, "--steps", 10, "--output", out])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UnwritableLabelError"
+        assert "'new york'" in err["message"]
+        assert not out.exists()
 
     def test_seed_changes_output(self, tmp_path, model_path):
         out1, out2 = tmp_path / "s1.lines", tmp_path / "s2.lines"
@@ -249,15 +263,36 @@ class TestSweep:
         ["profile", "--max-lag", 0, "--output", "p.csv"],
         ["entropy", "--method", "markov", "--p-artificial", 0, "--output", "r.json"],
         ["fit", "--k", 2, "--tol", "nan", "--output", "m.json"],
+        ["profile", "--format", "tsv", "--group-col", -5, "--item-col", 1, "--max-lag", 1,
+         "--output", "p.csv"],
+        ["profile", "--format", "tsv", "--group-col", -1, "--item-col", 1, "--max-lag", 1,
+         "--output", "p.csv"],
+        ["preprocess", "--format", "tsv", "--group-col", 0, "--item-col", -1,
+         "--output", "c.lines"],
     ],
     ids=["fit-k", "fit-max-iter", "entropy-k", "sweep-k", "min-count", "max-lag",
-         "p-artificial", "tol-nan"],
+         "p-artificial", "tol-nan", "group-col-minus-5", "group-col-minus-1", "item-col-minus-1"],
 )
 def test_invalid_number_rejected_before_loading(tmp_path, capsys, argv):
     # The input does not exist: reading it first would exit 1 with an I/O error.
     code = run([*argv[:1], "--input", tmp_path / "nope.lines", *argv[1:]])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_cli_defaults_are_the_library_defaults(tmp_path, cycle_corpus):
+    parser = build_parser()
+    for argv in (["fit", "--k", "2"], ["entropy", "--method", "lamp"], ["sweep"]):
+        args = parser.parse_args([*argv, "--input", "c", "--output", "o"])
+        assert (args.max_iter, args.tol) == (DEFAULT_EM_MAX_ITER, DEFAULT_EM_TOL)
+    for kind, exponents in (("markov", DEFAULT_MARKOV_SWEEP_EXPONENTS),
+                            ("lamp", DEFAULT_LAMP_SWEEP_EXPONENTS)):
+        out = tmp_path / f"{kind}.csv"
+        code = run(["sweep", "--input", cycle_corpus, "--min-count", 1, "--model-kind", kind,
+                    "--k", 1, "--max-iter", 2, "--output", out])
+        assert code == 0
+        with open(out, newline="") as fh:
+            assert [int(r["i"]) for r in csv.DictReader(fh)] == list(exponents)
 
 
 class TestLogLevel:
@@ -306,6 +341,26 @@ class TestPreprocess:
         stages = doc["preprocessing"]["stages"]
         assert [s["stage"] for s in stages] == ["input", "dedupe", "replace_rare", "dedupe"]
         assert doc["config"]["params"]["min_count"] == 2
+
+    def test_label_with_whitespace_is_not_split(self, tmp_path, capsys):
+        corpus_path = tmp_path / "c.tsv"
+        corpus_path.write_text("u1\tnew york\nu1\tparis\nu1\tnew york\n", encoding="utf-8")
+        out = tmp_path / "clean.lines"
+        code = run(["preprocess", "--input", corpus_path, "--format", "tsv",
+                    "--group-col", 0, "--item-col", 1, "--min-count", 1, "--output", out])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UnwritableLabelError"
+        assert "'new york'" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rare_token", ["x y", "", "tab\there"])
+    def test_rare_token_must_be_one_token(self, tmp_path, capsys, rare_token):
+        # The input does not exist: the flag is checked before it is read.
+        code = run(["preprocess", "--input", tmp_path / "nope.lines", "--min-count", 2,
+                    "--rare-token", rare_token, "--output", tmp_path / "clean.lines"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
     def test_tsv_input(self, tmp_path):
         corpus_path = tmp_path / "c.tsv"

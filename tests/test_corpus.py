@@ -48,6 +48,13 @@ class TestLoadSequences:
         with pytest.raises(MalformedRowError):
             load_sequences(path, fmt="tsv", group_col=0, item_col=1)
 
+    @pytest.mark.parametrize("cols", [(-1, 1), (0, -2)])
+    def test_tsv_negative_column(self, tmp_path, cols):
+        path = tmp_path / "c.tsv"
+        path.write_text("u1\tx\nu1\ty\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="must be >= 0"):
+            load_sequences(path, "tsv", *cols)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.lines"
         path.write_text("", encoding="utf-8")

@@ -13,16 +13,21 @@ from lamp_entropy import (
     KernelDistribution,
     LampModel,
     LargestCC,
+    NegativeEntryError,
     NotADistributionError,
     NotIrreducibleError,
+    RowSumError,
     SequenceCorpus,
     SweepResult,
+    apply_conditioning,
     detect_plateau,
     entropy_rate,
+    fit_first_order,
     lamp_plugin_estimate,
     markov_plugin_estimate,
     minmax_normalize,
     path_level_estimate,
+    restrict_to_largest_scc,
     sequence_level_estimate,
     shannon_entropy,
     simulate_lamp,
@@ -74,6 +79,16 @@ class TestShannonEntropy:
     def test_rejects_non_finite(self, dist):
         with pytest.raises(InvalidProbabilityError):
             shannon_entropy(dist)
+
+    def test_shares_the_matrix_validation(self):
+        # One check serves vectors and matrices: its errors are the
+        # distribution errors that callers of shannon_entropy catch.
+        assert issubclass(NegativeEntryError, NotADistributionError)
+        assert issubclass(RowSumError, NotADistributionError)
+        with pytest.raises(NegativeEntryError, match="^probabilities must be non-negative$"):
+            shannon_entropy([1.5, -0.5])
+        with pytest.raises(RowSumError, match="^probabilities sum to .*, expected 1$"):
+            shannon_entropy([0.5, 0.6])
 
 
 class TestEmpiricalEstimates:
@@ -209,6 +224,60 @@ class TestPluginEstimates:
         markov_level = markov_plugin_estimate(corpus, LargestCC()).bits_per_symbol
         assert seq_level - stat_level >= -1e-6
         assert stat_level - markov_level >= -1e-6
+
+
+def random_corpus(rng):
+    """A few sequences, each over its own random range of up to 12 symbols,
+    so that many fitted chains are reducible."""
+    n = int(rng.integers(1, 13))
+    sequences = []
+    for _ in range(int(rng.integers(1, 5))):
+        lo = int(rng.integers(0, n))
+        hi = int(rng.integers(lo + 1, n + 1))
+        codes = rng.integers(lo, hi, size=int(rng.integers(2, 120)))
+        sequences.append([f"t{c}" for c in codes])
+    return SequenceCorpus.from_sequences(sequences)
+
+
+class TestConditioningPath:
+    def test_largest_cc_rate_matches_the_restricted_chain(self):
+        reducible = 0
+        for seed in range(60):
+            corpus = random_corpus(np.random.default_rng(seed))
+            fitted = fit_first_order(corpus, smoothing=0.0)
+            # The composition the estimator used to run, as the oracle.
+            restricted, _, excluded = restrict_to_largest_scc(fitted)
+            oracle = entropy_rate(restricted, stationary_distribution(restricted))
+            report = markov_plugin_estimate(corpus, LargestCC())
+            assert report.bits_per_symbol.hex() == oracle.hex(), seed
+            assert report.conditioning["excluded"] == excluded
+            reducible += excluded > 0
+        assert reducible >= 10
+
+    # The restriction is solved as it is, bit for bit; the (n+1)-state
+    # chain of Induced is solved whole here, not per block.
+    @pytest.mark.parametrize(
+        "strategy, tol",
+        [(LargestCC(), 0.0), (Induced(2.0**-15), 1e-12), (Induced(0.3), 1e-12)],
+        ids=["largest_cc", "induced_2^-15", "induced_0.3"],
+    )
+    def test_stationary_estimate_matches_the_conditioned_chain(self, strategy, tol):
+        for seed in range(40):
+            fitted = fit_first_order(random_corpus(np.random.default_rng(seed)), smoothing=0.0)
+            report = stationary_distribution_estimate(fitted, strategy)
+            conditioned, expected = apply_conditioning(fitted, strategy)
+            assert report.conditioning == expected
+            oracle = stationary_distribution_estimate(conditioned).bits_per_symbol
+            assert abs(report.bits_per_symbol - oracle) <= tol, seed
+
+    def test_method_names_the_model_and_the_strategy(self):
+        corpus = two_component_corpus(steps=500)
+        for strategy, markov, lamp in (
+            (LargestCC(), EstimatorMethod.MARKOV_LARGEST_CC, EstimatorMethod.LAMP_LARGEST_CC),
+            (Induced(), EstimatorMethod.MARKOV_INDUCED, EstimatorMethod.LAMP_INDUCED),
+        ):
+            assert markov_plugin_estimate(corpus, strategy).method is markov
+            assert lamp_plugin_estimate(corpus, 1, strategy, max_iter=3).method is lamp
 
 
 class TestSweep:
