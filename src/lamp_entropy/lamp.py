@@ -16,9 +16,11 @@ import numpy as np
 
 from .errors import EmptyHistoryError, TooShortError, ZeroProbabilityError
 from .markov import (
+    _BLOCK,
     _check_probabilities,
     _inverse_cdf,
     _resolve_init,
+    _spans,
     _walk,
     TransitionMatrix,
     entropy_rate,
@@ -118,18 +120,27 @@ def simulate_lamp(
     pointing before the start clamp to that symbol. Draws land only on
     lags of positive weight and on transitions of positive probability,
     including a draw of 0 and one above a total that rounded below 1.
+    Steps are drawn ``_BLOCK`` at a time, in the order of one full-length
+    call, so the path does not depend on the block length; the call holds
+    the path's states and labels, about 17 bytes a step, plus one block's
+    draws and sources.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     matrix = model.matrix
     rng = np.random.default_rng(seed)
     first = _resolve_init(matrix, init, rng)
-    u = rng.random((n_steps - 1, 2))
     [(lag_cum, lag_cols)] = _inverse_cdf(model.kernel.weights)
-    lag_idx = lag_cols[np.searchsorted(lag_cum, u[:, 0], side="left")]
-    # Source position for step t is max(0, t - q_t); always already sampled.
-    sources = np.maximum(np.arange(1, n_steps) - (lag_idx + 1), 0).tolist()
-    return _walk(matrix, first, u[:, 1].tolist(), sources)
+
+    def blocks():
+        for a, b in _spans(n_steps - 1):
+            u = rng.random((b - a, 2))
+            lag_idx = lag_cols[np.searchsorted(lag_cum, u[:, 0], side="left")]
+            # Source position for step t is max(0, t - q_t); always already sampled.
+            sources = np.maximum(np.arange(a + 1, b + 1) - (lag_idx + 1), 0)
+            yield sources.tolist(), u[:, 1].tolist()
+
+    return _walk(matrix, first, blocks())
 
 
 def lamp_entropy_rate(model: LampModel) -> float:
@@ -151,11 +162,6 @@ def step_log2_probs(model: LampModel, sequence) -> np.ndarray:
     has model probability 0. Scored in blocks: about 12 bytes per position.
     """
     return _step_scores(model, model.matrix.states.encode(sequence), weighted=False)
-
-
-# Positions per scoring block: a float64 block buffer is 128 KB, so a
-# block's buffers stay in L2 cache however long the path.
-_BLOCK = 16_384
 
 
 def _step_scores(model: LampModel, idx: np.ndarray, weighted: bool) -> np.ndarray:

@@ -38,6 +38,11 @@ STATIONARY_RESIDUAL_TOL = 1e-8
 # Most terms of the series in p that one closed class may take.
 _SERIES_MAX_TERMS = 100
 
+# Steps per sampling block and positions per scoring block: a float64
+# block buffer is 128 KB, so a block's buffers stay in L2 cache however
+# long the path.
+_BLOCK = 16_384
+
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -140,17 +145,23 @@ def validate_stochastic(raw, labels) -> TransitionMatrix:
 
     Rows are rescaled to sum to exactly 1, but only when each raw row
     sum already deviates from 1 by less than ``ROW_SUM_TOL``; larger
-    deviations are rejected rather than silently repaired.
+    deviations are rejected rather than silently repaired. Any other
+    row is divided by 1.0, which is exact, so :class:`TransitionMatrix`
+    checks it with its raw values.
     """
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {arr.shape}")
-    sums = _check_probabilities(arr, "transition probabilities")
-    return TransitionMatrix(StateSpace(tuple(labels)), arr / sums[:, None])
+    # TransitionMatrix rejects rows such as [inf, -inf] and [1e308,
+    # 1e308]; summing them here must not warn first.
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = arr.sum(axis=1)
+    ok = abs(sums - 1.0) < ROW_SUM_TOL
+    return TransitionMatrix(StateSpace(tuple(labels)), arr / np.where(ok, sums, 1.0)[:, None])
 
 
-def _check_probabilities(values: np.ndarray, what: str) -> np.ndarray:
-    """Check a probability vector, or each row of a matrix; return the sums.
+def _check_probabilities(values: np.ndarray, what: str) -> None:
+    """Check a probability vector, or each row of a matrix.
 
     Entries must be non-negative and each sum within ``ROW_SUM_TOL`` of
     1. Both checks are positive assertions, so NaN fails them; the scan
@@ -171,7 +182,6 @@ def _check_probabilities(values: np.ndarray, what: str) -> np.ndarray:
         _reject_non_finite(values, what)
         i = int(np.argmin(ok))
         raise RowSumError(f"row {i} sums to {sums[i]!r}, expected 1")
-    return sums
 
 
 def _reject_non_finite(values: np.ndarray, what: str) -> None:
@@ -477,22 +487,34 @@ def simulate_markov(
     CDF of the current state's row by :func:`_walk` (ties on a
     cumulative boundary resolve to the lower index). Draws land only on
     cells of positive probability, including a draw of 0 and one above a
-    row total that rounded below 1.
+    row total that rounded below 1. The draws are made ``_BLOCK`` at a
+    time, in the order of one full-length call, so the path does not
+    depend on the block length; the call holds the path's states and
+    labels, about 17 bytes a step, plus one block's draws.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     rng = np.random.default_rng(seed)
     first = _resolve_init(matrix, init, rng)
-    return _walk(matrix, first, rng.random(n_steps - 1).tolist(), range(n_steps - 1))
+    blocks = ((range(a, b), rng.random(b - a).tolist()) for a, b in _spans(n_steps - 1))
+    return _walk(matrix, first, blocks)
 
 
-def _walk(matrix: TransitionMatrix, first: int, draws, sources) -> list[str]:
+def _spans(m: int):
+    """The blocks ``[a, b)`` of ``range(m)``, ``_BLOCK`` steps each."""
+    return ((a, min(a + _BLOCK, m)) for a in range(0, m, _BLOCK))
+
+
+def _walk(matrix: TransitionMatrix, first: int, blocks) -> list[str]:
     """Labels of the path from state ``first`` that takes one step per
-    draw: step ``t`` leaves the state at position ``sources[t]`` for the
-    first positive cell of its row whose cumulative sum is >= ``draws[t]``,
-    found by bisection. The one sampler behind :func:`simulate_markov`
-    and :func:`lamp.simulate_lamp`. Rows with no zero cell share one list
-    of column numbers: indexing a ``range`` would build an int every step.
+    draw. ``blocks`` yields the steps in order, as ``(sources, draws)``
+    pairs of equal length: a step leaves the state at its source
+    position, in its block or an earlier one, for the first positive
+    cell of that state's row whose cumulative sum is >= its draw, found
+    by bisection. The one sampler behind :func:`simulate_markov` and
+    :func:`lamp.simulate_lamp`; only the states and the labels are full
+    length. Rows with no zero cell share one list of column numbers:
+    indexing a ``range`` would build an int every step.
     """
     every = list(range(matrix.n))
     cells = [
@@ -501,9 +523,10 @@ def _walk(matrix: TransitionMatrix, first: int, draws, sources) -> list[str]:
     ]
     states = [first]
     append = states.append
-    for s, d in zip(sources, draws):
-        cum, cols = cells[states[s]]
-        append(cols[bisect_left(cum, d)])
+    for sources, draws in blocks:
+        for s, d in zip(sources, draws):
+            cum, cols = cells[states[s]]
+            append(cols[bisect_left(cum, d)])
     labels = matrix.states.labels
     return [labels[i] for i in states]
 

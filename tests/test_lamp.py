@@ -31,6 +31,7 @@ from lamp_entropy import (
     validate_stochastic,
 )
 import lamp_entropy.lamp as lamp_module
+import lamp_entropy.markov as markov_module
 from lamp_entropy.lamp import _step_scores, model_to_json_dict
 
 from test_markov import (
@@ -241,9 +242,10 @@ class TestSimulateLamp:
             simulate_lamp(LampModel(THREE_STATE, SPIKE_7), 0, seed=0)
 
     def test_dense_working_memory(self):
-        # The path, its draws and its sources as lists, and one (cum, cols)
-        # pair of lists per row: about 110 bytes a step at any number of
-        # states. Anything held per state and per step breaks the bound.
+        # The path's states and labels, about 17 bytes a step, one block's
+        # draws and sources (about 2 MB), and one (cum, cols) pair of lists
+        # per row. Full-length draws and sources took 113 bytes a step, and
+        # anything held per state and per step breaks the bound too.
         steps = 250_000
         model = LampModel(random_ergodic(64, np.random.default_rng(2)), SPIKE_7)
         tracemalloc.start()
@@ -252,7 +254,7 @@ class TestSimulateLamp:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 160 * steps
+        assert peak <= 20 * steps + 2**22
 
     def test_long_run_frequencies_match_stationary(self):
         rng = np.random.default_rng(13)
@@ -413,6 +415,40 @@ def test_step_scores_match_oracle_in_small_blocks(case, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lamp_module, "_BLOCK", block)
         check_against_oracle(*case)
+
+
+# Twelve lags of decreasing weight: in blocks of 1 to 7 steps, a step's
+# source can lie several blocks back.
+LAGS_12 = KernelDistribution.geometric(12, 0.8)
+
+
+@st.composite
+def sampling_cases(draw):
+    """A block length, a chain, a kernel, an init, a seed, and ``n_steps``
+    whose ``n_steps - 1`` draws fill no block, one block, or a block
+    multiple -1, 0 or +1."""
+    block = draw(st.sampled_from(SMALL_BLOCKS))
+    chain = draw(st.sampled_from(["three", "sparse80"]))
+    kernel = draw(st.sampled_from([SPIKE_7, LAGS_12]))
+    init = draw(st.sampled_from([None, "index", "label"]))
+    multiple = block * draw(st.integers(2, 8))
+    n_steps = 1 + draw(st.sampled_from([0, block, multiple - 1, multiple, multiple + 1]))
+    return block, chain, kernel, init, draw(st.integers(0, 2**32 - 1)), n_steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampling_cases())
+def test_paths_independent_of_sampling_block(case):
+    block, chain, kernel, init, seed, n_steps = case
+    matrix = PINNED_CHAINS[chain]()
+    init = {"index": 1, "label": matrix.labels[-1]}.get(init)
+    model = LampModel(matrix, kernel)
+    lamp_path = simulate_lamp(model, n_steps, seed=seed, init=init)
+    markov_path = simulate_markov(matrix, n_steps, seed=seed, init=init)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(markov_module, "_BLOCK", block)
+        assert simulate_lamp(model, n_steps, seed=seed, init=init) == lamp_path
+        assert simulate_markov(matrix, n_steps, seed=seed, init=init) == markov_path
 
 
 class TestBlockedScoring:

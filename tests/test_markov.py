@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,43 @@ class TestValidateStochastic:
             validate_stochastic(rows, ["a", "b"])
         with pytest.raises(InvalidProbabilityError):
             TransitionMatrix(StateSpace(("a", "b")), np.array(rows))
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            ([[1.5, -0.5], [0.5, 0.5]], NegativeEntryError,
+             "transition probabilities must be non-negative"),
+            ([[0.5, 0.5], [NAN, 1.0]], InvalidProbabilityError,
+             "transition probabilities must be finite"),
+            ([[0.5, 0.5], [INF, 0.0]], InvalidProbabilityError,
+             "transition probabilities must be finite"),
+            ([[INF, -INF], [0.5, 0.5]], InvalidProbabilityError,
+             "transition probabilities must be finite"),
+            ([[0.5, 0.5], [0.0, 0.0]], RowSumError, "row 1 sums to np.float64(0.0), expected 1"),
+            ([[0.5, 0.5], [0.75, 0.75]], RowSumError,
+             "row 1 sums to np.float64(1.5), expected 1"),
+            # Two faults: the first in check order is reported, as for a
+            # TransitionMatrix built from the raw rows.
+            ([[0.5, 0.7], [1.5, -0.5]], NegativeEntryError,
+             "transition probabilities must be non-negative"),
+            ([[0.0, 0.0], [0.75, 0.75]], RowSumError, "row 0 sums to np.float64(0.0), expected 1"),
+        ],
+    )
+    def test_fault_error_and_message(self, rows, error, message):
+        raw = np.array(rows)
+        before = raw.copy()
+        for build in (validate_stochastic, lambda r, labels: TransitionMatrix(StateSpace(labels), r)):
+            with pytest.raises(error) as info:
+                build(raw, ("a", "b"))
+            assert str(info.value) == message
+        np.testing.assert_array_equal(raw, before)
+
+    def test_caller_array_untouched(self):
+        raw = np.array([[0.5, 0.5 + 1e-12], [1.0, 0.0]])
+        before = raw.copy()
+        P = validate_stochastic(raw, ["a", "b"])
+        assert raw.tobytes() == before.tobytes()
+        assert P.rows.tobytes() == (before / before.sum(axis=1)[:, None]).tobytes()
 
 
 @pytest.mark.parametrize("probs", [[NAN, 1.0], [NAN, NAN], [INF, 0.0]])
@@ -284,6 +322,20 @@ class TestSimulateMarkov:
         P = short_row_chain(n)
         assert stationary_distribution(P).probs[0] == 0.0
         assert simulate_markov(P, 2, seed=FixedDraws(0.0)) == ["s1", "s1"]
+
+    def test_working_memory(self):
+        # The path's states and labels, about 17 bytes a step, and one
+        # block's draws (about 0.5 MB). Anything held per step beyond the
+        # path breaks the bound: full-length draws took 49 bytes a step.
+        steps = 1_000_000
+        P = random_ergodic(64, np.random.default_rng(2))
+        tracemalloc.start()
+        try:
+            simulate_markov(P, steps, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * steps + 2**22
 
     def test_empirical_frequencies_match_chain(self):
         P = validate_stochastic([[0.9, 0.1], [0.1, 0.9]], ["a", "b"])
