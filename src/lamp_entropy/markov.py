@@ -38,6 +38,9 @@ STATIONARY_RESIDUAL_TOL = 1e-8
 # Most terms of the series in p that one closed class may take.
 _SERIES_MAX_TERMS = 100
 
+# Largest block that _inverse hands to LAPACK's inv instead of splitting.
+_INVERSE_BASE = 128
+
 # Steps per sampling block and positions per scoring block: a float64
 # block buffer is 128 KB, so a block's buffers stay in L2 cache however
 # long the path.
@@ -177,11 +180,11 @@ def _check_probabilities(values: np.ndarray, what: str) -> None:
     if values.ndim == 1:
         if not ok:
             _reject_non_finite(values, what)
-            raise RowSumError(f"{what} sum to {sums!r}, expected 1")
+            raise RowSumError(f"{what} sum to {float(sums)!r}, expected 1")
     elif not ok.all():
         _reject_non_finite(values, what)
         i = int(np.argmin(ok))
-        raise RowSumError(f"row {i} sums to {sums[i]!r}, expected 1")
+        raise RowSumError(f"row {i} sums to {float(sums[i])!r}, expected 1")
 
 
 def _reject_non_finite(values: np.ndarray, what: str) -> None:
@@ -360,10 +363,10 @@ class _Blocks:
         a scale ``q`` and the rows ``q^k·g_k`` of ``(I - cP)^-1 h = (c/p)(π·h)·1
         + sum_k (-p)^k g_k``, where ``g_0 = Zh``, ``g_k = Z(P·g_{k-1} -
         (π·g_{k-1})·1)`` and ``Z = (I - P + 1π)^-1``. One inverse ``W = (I -
-        P + 1v)^-1``, ``v`` uniform, gives ``π = vW`` and ``Z = W - 1(πW -
-        π)``. ``q`` is the largest of ``p_values`` at which the terms still
-        shrink; they stop once below 1e-17 of the first, or at
-        ``_SERIES_MAX_TERMS``.
+        P + 1v)^-1``, ``v`` uniform, written over its own scratch block by
+        :func:`_inverse`, gives ``π = vW`` and ``Z = W - 1(πW - π)``. ``q``
+        is the largest of ``p_values`` at which the terms still shrink;
+        they stop once below 1e-17 of the first, or at ``_SERIES_MAX_TERMS``.
         """
         tops = sorted(p_values, reverse=True)
         out = []
@@ -373,7 +376,7 @@ class _Blocks:
             w += 1.0 / size
             w.flat[:: size + 1] += 1.0
             try:
-                w = np.linalg.inv(w)
+                w = _inverse(w)
             except np.linalg.LinAlgError:  # then no point passes its check
                 w.fill(np.nan)
             pi = w.sum(axis=0) / size
@@ -430,6 +433,33 @@ def _identity_minus(c: float, block: np.ndarray) -> np.ndarray:
     """
     a = block * -c
     a.flat[:: a.shape[0] + 1] += 1.0
+    return a
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """``a^-1``, written over ``a`` by 2×2 block recursion (Strassen 1969).
+
+    With ``X = A11^-1``, ``Y = X·A12`` and ``Z = S^-1`` for the Schur
+    complement ``S = A22 - A21·Y``, the inverse is ``[[X - Y·B21, -Y·Z],
+    [B21, Z]]``, ``B21 = -Z·A21·X``: almost all flops are matrix
+    products, and each step holds one quarter-size temporary. A block of
+    at most ``_INVERSE_BASE`` states is LAPACK's ``inv``, returned as a
+    new array. No pivoting across halves: every leading block must be
+    nonsingular, as those of ``I - P + 1v`` on an irreducible ``P`` are.
+    """
+    n = a.shape[0]
+    if n <= _INVERSE_BASE:
+        return np.linalg.inv(a)
+    h = n // 2
+    a11, a12, a21, a22 = a[:h, :h], a[:h, h:], a[h:, :h], a[h:, h:]
+    a11[...] = _inverse(a11)
+    a12[...] = a11 @ a12
+    a22 -= a21 @ a12
+    a22[...] = _inverse(a22)
+    a21[...] = a21 @ a11
+    np.negative(a22 @ a21, out=a21)
+    a11 -= a12 @ a21
+    np.negative(a12 @ a22, out=a12)
     return a
 
 

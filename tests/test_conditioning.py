@@ -445,6 +445,20 @@ def coupled_blocks(coupling):
     return validate_stochastic(rows / rows.sum(axis=1, keepdims=True), list("abcdef"))
 
 
+def nearly_decomposable_class(coupling):
+    """One closed class of two dense 150-state blocks, each row moving
+    into the other block with probability ``coupling``. Unshuffled, so
+    that each block is one half of ``I - P + 1v``: the worst case for a
+    block inverse that does not pivot across its halves."""
+    rng = np.random.default_rng(300)
+    rows = np.empty((300, 300))
+    for own, other in ((slice(0, 150), slice(150, 300)), (slice(150, 300), slice(0, 150))):
+        block = rng.random((150, 150))
+        rows[own, own] = (1 - coupling) * block / block.sum(axis=1, keepdims=True)
+        rows[own, other] = coupling / 150
+    return validate_stochastic(rows, [f"s{i}" for i in range(300)])
+
+
 @pytest.fixture
 def block_solves(monkeypatch):
     """The ``p`` of every rate that ``induced_entropy_rates`` takes from the block solve."""
@@ -634,6 +648,53 @@ class TestInducedEntropyRates:
         block_solves.clear()
         assert rates == [induced_entropy_rates(P, [p])[0] for p in p_values]
 
+    def test_series_matches_block_solves_on_classes_above_the_base_size(self, block_solves):
+        P, _ = two_closed_classes_2100()
+        assert sorted(members.size for members, _, _ in markov._Blocks(P.rows).closed) == [800, 1200]
+        p_values = [2.0**-i for i in range(1, 26)]
+        rates = induced_entropy_rates(P, p_values)
+        assert block_solves == []
+        for p, rate in zip(p_values, rates):
+            assert abs(rate - induced_entropy_rates(P, [p])[0]) <= 1e-12, p
+
+    # Recorded with LAPACK's inverse of the whole class. The residual
+    # floor grows as one over the coupling: 2e-14 at 1e-1, 2e-12 at 1e-3.
+    @pytest.mark.parametrize(
+        "coupling, certified",
+        [(1e-1, list(range(3, 26))), (1e-3, []), (1e-6, [])],
+        ids=["coupling-1e-1", "coupling-1e-3", "coupling-1e-6"],
+    )
+    def test_nearly_decomposable_class_certifies_the_same_points(
+        self, coupling, certified, block_solves
+    ):
+        P = nearly_decomposable_class(coupling)
+        exponents = range(1, 26)
+        rates = induced_entropy_rates(P, [2.0**-i for i in exponents])
+        assert [i for i in exponents if 2.0**-i not in block_solves] == certified
+        block_solves.clear()
+        for i, rate in zip(exponents, rates):
+            assert abs(rate - induced_entropy_rates(P, [2.0**-i])[0]) <= 1e-12, i
+
+    def test_singular_sub_block_sends_every_point_to_the_block_solve(
+        self, block_solves, monkeypatch
+    ):
+        P = nearly_decomposable_class(1e-3)
+        inv, sizes = np.linalg.inv, []
+
+        def singular_below_the_class(a):
+            sizes.append(a.shape[0])
+            if a.shape[0] < P.n:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", singular_below_the_class)
+        p_values = [2.0**-i for i in range(1, 26)]
+        rates = induced_entropy_rates(P, p_values)
+        assert sizes and max(sizes) < P.n
+        assert block_solves == p_values
+        block_solves.clear()
+        assert rates == [induced_entropy_rates(P, [p])[0] for p in p_values]
+
     def test_series_holds_at_most_two_dense_blocks_beyond_the_chain(self):
         rng = np.random.default_rng(1500)
         n, t = 1500, 10
@@ -649,7 +710,8 @@ class TestInducedEntropyRates:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # P_CC, I - P_CC + 1v and its inverse: three |C|^2 blocks.
+        # P_CC and I - P_CC + 1v, inverted in place: 2.3 |C|^2 floats
+        # (3.04 with a separate inverse).
         assert peak <= 3.1 * (n - t) ** 2 * 8
 
     def test_rejects_probabilities_outside_the_open_interval(self):
