@@ -8,9 +8,10 @@ and ``_rate`` give the conditioned matrix, the stationary law and the
 entropy rate in bits, each with the step's report; no other module
 tells the strategies apart.
 
-The entropy rate and the stationary law under the artificial state
-come from the block solve of :mod:`lamp_entropy.markov`, without
-building the (n+1)-state chain; :func:`induce_irreducibility` builds it
+Under the artificial state this module defines the induced chain, its
+law ``[x, p]/(1 + p)`` and its rate formula; ``x(p)`` and ``x(p)·h``
+come certified from the solver of :mod:`lamp_entropy.markov`, without
+building the (n+1)-state chain. :func:`induce_irreducibility` builds it
 for callers that want the matrix itself.
 """
 
@@ -22,15 +23,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegenerateComponentError, IllConditionedError, InvalidProbabilityError
-from .markov import STATIONARY_RESIDUAL_TOL, StateSpace, TransitionMatrix, _Blocks, _edges, _tarjan
+from .errors import DegenerateComponentError, InvalidProbabilityError
+from .markov import StateSpace, TransitionMatrix, _Blocks, _edges, _tarjan
 
 ARTIFICIAL_STATE_LABEL = "__artificial__"
 DEFAULT_P_ARTIFICIAL = 2.0**-15
-
-# Largest error bound, in bits, with which a rate from the series in p
-# is returned; a point above it takes the block solve.
-_SERIES_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -174,76 +171,21 @@ def induced_entropy_rates(matrix: TransitionMatrix, p_values) -> list[float]:
     damping ``c``) is ``1 + p`` times the induced chain's stationary
     law on the original states, and the rate is
     ``[c·x·h + h_b(p) + p·log2 n] / (1 + p)``, where ``h`` holds the
-    row entropies and ``h_b`` is the binary entropy.
-
-    One ``p`` takes ``x`` from the block solve of
-    :func:`~.markov.stationary_distribution`. Several share one inverse
-    per closed class ``C``: ``x_C·h_C = c·(b·1)(π_C·h_C) + p·sum_k (-p)^k
-    b·g_k`` with ``b = u_C + c·z_T·P_TC`` (``_Blocks.series``), within
-    ``(b·1)·||r||_inf`` for the residual ``r`` of the summed ``(I -
-    cP_CC)^-1 h_C``. A point whose bound exceeds ``_SERIES_TOL`` takes
-    the block solve. Each point is certified by ``p·sum(z_T) + sum_C m_C
-    = 1``. The transient solve's error grows as ``eps/(p + leak)`` for a
-    transient block that leaks out of itself slowly: when the identity
-    is off by more than ``STATIONARY_RESIDUAL_TOL`` this raises
-    :class:`IllConditionedError` instead of returning a number.
+    row entropies and ``h_b`` is the binary entropy. ``x·h`` comes from
+    ``_Blocks.rates`` of :mod:`lamp_entropy.markov`, which certifies it.
     """
     p_values = [float(p) for p in p_values]
     for p in p_values:
         _check_p_artificial(p)
-    blocks = _Blocks(matrix.rows)
     log2_n = math.log2(matrix.n)
-    if len(p_values) < 2:
-        return [_block_rate(blocks, p, log2_n) for p in p_values]
-    p = np.array(p_values)
-    c = 1.0 - p
-    u = 1.0 / matrix.n
-    h_t = blocks.h[blocks.transient]
-    xh, mass, inflow = np.zeros(p.size), np.zeros(p.size), []
-    for j, p_j in enumerate(p_values):
-        z_t, row, mass[j] = blocks.inflow(p_j)
-        if z_t is not None:
-            xh[j] = p_j * (z_t @ h_t)
-        inflow.append(row)
-    inflow = np.array(inflow)
-    bound = np.zeros(p.size)
-    for (members, part, p_cc), (pi_h, q, terms) in zip(blocks.closed, blocks.series(p_values)):
-        m_c = p_cc.shape[0] * u + inflow[:, part].sum(axis=1)
-        # s = sum_k (-p)^k g_k; a point beyond q diverges and is not summed.
-        s = np.power.outer(-np.minimum(p, q) / q, np.arange(len(terms))) @ terms
-        r = s - c[:, None] * (s @ p_cc) + (c[:, None] * pi_h - blocks.h[members])
-        bound += np.where(p > q, np.inf, m_c * np.abs(r).max(axis=1))
-        xh += c * m_c * pi_h + p * ((u + inflow[:, part]) * s).sum(axis=1)
-        mass += m_c
-    return [
-        _rate(p_j, xh[j], mass[j], log2_n)
-        if bound[j] <= _SERIES_TOL
-        else _block_rate(blocks, p_j, log2_n)
-        for j, p_j in enumerate(p_values)
-    ]
+    return [_rate(p, xh, log2_n) for p, xh in zip(p_values, _Blocks(matrix.rows).rates(p_values))]
 
 
-def _block_rate(blocks: _Blocks, p: float, log2_n: float) -> float:
-    """The rate at one ``p`` from the block solve: the reference."""
-    z_t, x_closed, mass = blocks.solve(p)
-    xh = 0.0 if z_t is None else p * (z_t @ blocks.h[blocks.transient])
-    for (members, _, _), x_c in zip(blocks.closed, x_closed):
-        xh += x_c @ blocks.h[members]
-    return _rate(p, xh, mass, log2_n)
-
-
-def _rate(p: float, xh: float, mass: float, log2_n: float) -> float:
+def _rate(p: float, xh: float, log2_n: float) -> float:
     c = 1.0 - p
     # c·log2(c) through log1p: exact even where 1 - p rounds to 1.
     h_b = -p * math.log2(p) - c * math.log1p(-p) / math.log(2.0)
-    rate = float((c * xh + h_b + p * log2_n) / (1.0 + p))
-    # NaN fails both tests, so a non-finite solve raises here too.
-    if not (abs(mass - 1.0) <= STATIONARY_RESIDUAL_TOL and math.isfinite(rate)):
-        raise IllConditionedError(
-            f"induced chain at p={p!r} is too ill-conditioned: stationary mass "
-            f"sums to {float(mass)!r} (tolerance {STATIONARY_RESIDUAL_TOL}), rate {rate!r}"
-        )
-    return rate
+    return float((c * xh + h_b + p * log2_n) / (1.0 + p))
 
 
 def apply_conditioning(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCorpusError, MalformedRowError, RareTokenCollisionError
+from .errors import EmptyCorpusError, MalformedRowError, RareTokenCollisionError, malformed_file
 from .markov import StateSpace
 
 logger = logging.getLogger(__name__)
@@ -44,14 +44,17 @@ class SequenceCorpus:
     vocabulary: StateSpace
 
     def __post_init__(self) -> None:
-        tokens = np.array(self.tokens, dtype=np.int32)
-        offsets = np.array(self.offsets, dtype=np.int64)
+        # Checked on the caller's arrays: the cast would round or wrap a bad value.
+        tokens, offsets = np.asarray(self.tokens), np.asarray(self.offsets)
         if tokens.ndim != 1 or offsets.ndim != 1 or offsets.shape[0] < 1:
             raise ValueError("tokens and offsets must be 1-D, with at least one offset")
-        if offsets[0] != 0 or offsets[-1] != tokens.shape[0] or (np.diff(offsets) < 0).any():
+        if any(a.size and a.dtype.kind not in "iu" for a in (tokens, offsets)):
+            raise ValueError("token codes and offsets must be integers")
+        if offsets[0] != 0 or offsets[-1] != tokens.shape[0] or (offsets[1:] < offsets[:-1]).any():
             raise ValueError("offsets must rise from 0 to the number of tokens")
         if tokens.shape[0] and (tokens.min() < 0 or tokens.max() >= self.vocabulary.n):
             raise ValueError("token codes must index the vocabulary")
+        tokens, offsets = tokens.astype(np.int32), offsets.astype(np.int64)
         tokens.flags.writeable = False
         offsets.flags.writeable = False
         object.__setattr__(self, "tokens", tokens)
@@ -149,7 +152,7 @@ def load_sequences(
     if fmt == "lines":
         flat: list[str] = []
         lengths: list[int] = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, malformed_file(path):
             for line in fh:
                 tokens = line.split()
                 if tokens:
@@ -165,7 +168,7 @@ def load_sequences(
             raise ValueError(f"tsv columns must be >= 0, got {group_col} and {item_col}")
         width = max(group_col, item_col) + 1
         groups: dict[str, list[str]] = {}
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, malformed_file(path):
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue

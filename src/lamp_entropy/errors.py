@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class LampError(Exception):
     """Base class for every error raised by this package."""
@@ -63,6 +65,23 @@ class InvalidProbabilityError(LampError):
 
 class MalformedRowError(LampError):
     """A tabular input row has the wrong number of columns."""
+
+
+class MalformedFileError(LampError):
+    """An input file's content cannot be read as what the file should hold."""
+
+
+@contextmanager
+def malformed_file(path):
+    """Raise :class:`MalformedFileError`, naming ``path``, for content that
+    fails to parse: text that is not UTF-8 or not JSON, a missing field, a
+    ragged or non-numeric matrix, a label that is not a string."""
+    try:
+        yield
+    except KeyError as exc:
+        raise MalformedFileError(f"malformed file {path}: no field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise MalformedFileError(f"malformed file {path}: {exc}") from exc
 
 
 class EmptyCorpusError(LampError):

@@ -174,7 +174,7 @@ def fit_lamp_em(
     for iteration in range(1, max_iter + 1):
         np.take(cell_probs, cell_of, out=mixture, mode="clip")
         mixture *= weights[:, None]
-        totals = _pairwise_row_sum(mixture)
+        totals = mixture.sum(axis=0)
         if (totals <= 0.0).any():
             raise DegenerateInitError(
                 "an observed transition has probability 0 under the current "
@@ -215,32 +215,6 @@ def fit_lamp_em(
         KernelDistribution(weights),
     )
     return FitReport(model, tuple(trace), iteration, converged)
-
-
-def _pairwise_row_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum of the rows of an (m, P) array, added in the order in which
-    numpy's pairwise summation adds m contiguous values: one after
-    another below 8, in 8 interleaved partial sums up to 128, halves
-    beyond. Equals ``rows.T.sum(axis=1)`` bit for bit, but adds whole
-    rows instead of reducing P rows of m values one by one."""
-    m = rows.shape[0]
-    if m > 128:
-        half = m // 2 - m // 2 % 8
-        return _pairwise_row_sum(rows[:half]) + _pairwise_row_sum(rows[half:])
-    if m < 8:
-        total, end = rows[0].copy(), 1
-    else:
-        partial = rows[:8].copy()
-        end = m - m % 8
-        for i in range(8, end, 8):
-            partial += rows[i : i + 8]
-        partial[0::2] += partial[1::2]
-        partial[0::4] += partial[2::4]
-        partial[0] += partial[4]
-        total = partial[0]
-    for row in rows[end:]:
-        total += row
-    return total
 
 
 def _distinct_patterns(

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyHistoryError, TooShortError, ZeroProbabilityError
+from .errors import EmptyHistoryError, TooShortError, ZeroProbabilityError, malformed_file
 from .markov import (
     _BLOCK,
     _check_probabilities,
@@ -284,6 +284,7 @@ def save_model(model: LampModel, path) -> str:
 
 
 def load_model(path) -> LampModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    matrix = validate_stochastic(doc["rows"], doc["labels"])
-    return LampModel(matrix, KernelDistribution(np.asarray(doc["kernel"], dtype=float)))
+    with malformed_file(path):
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        matrix = validate_stochastic(doc["rows"], doc["labels"])
+        return LampModel(matrix, KernelDistribution(np.asarray(doc["kernel"], dtype=float)))

@@ -1,10 +1,10 @@
 """First-order Markov chains over a finite, labelled state space.
 
 Transition matrices are validated, immutable, row-stochastic arrays.
-Every stationary law comes from one certified solve per block of the
-SCC condensation (see :func:`stationary_distribution`); the entropy
-rate is reported in bits per symbol throughout. Every JSON artifact of
-the package is written by :func:`encode_json`.
+Every stationary law and every rate's ``x(p)·h`` comes from one
+certified solver per block of the SCC condensation (``_Blocks``); the
+entropy rate is reported in bits per symbol throughout. Every JSON
+artifact of the package is written by :func:`encode_json`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import (
     NotIrreducibleError,
     RowSumError,
     UnknownTokenError,
+    malformed_file,
 )
 
 ROW_SUM_TOL = 1e-9
@@ -37,6 +38,10 @@ STATIONARY_RESIDUAL_TOL = 1e-8
 
 # Most terms of the series in p that one closed class may take.
 _SERIES_MAX_TERMS = 100
+
+# Largest error bound, in bits, with which a rate from the series in p
+# is returned; a point above it takes the block solve.
+_SERIES_TOL = 1e-13
 
 # Largest block that _inverse hands to LAPACK's inv instead of splitting.
 _INVERSE_BASE = 128
@@ -150,8 +155,11 @@ def validate_stochastic(raw, labels) -> TransitionMatrix:
     sum already deviates from 1 by less than ``ROW_SUM_TOL``; larger
     deviations are rejected rather than silently repaired. Any other
     row is divided by 1.0, which is exact, so :class:`TransitionMatrix`
-    checks it with its raw values.
+    checks it with its raw values. Labels must be strings.
     """
+    labels = tuple(labels)
+    if not all(isinstance(label, str) for label in labels):
+        raise TypeError("labels must be strings")
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {arr.shape}")
@@ -160,7 +168,7 @@ def validate_stochastic(raw, labels) -> TransitionMatrix:
     with np.errstate(invalid="ignore", over="ignore"):
         sums = arr.sum(axis=1)
     ok = abs(sums - 1.0) < ROW_SUM_TOL
-    return TransitionMatrix(StateSpace(tuple(labels)), arr / np.where(ok, sums, 1.0)[:, None])
+    return TransitionMatrix(StateSpace(labels), arr / np.where(ok, sums, 1.0)[:, None])
 
 
 def _check_probabilities(values: np.ndarray, what: str) -> None:
@@ -175,8 +183,8 @@ def _check_probabilities(values: np.ndarray, what: str) -> None:
         raise NegativeEntryError(f"{what} must be non-negative")
     sums = values.sum(axis=-1)
     ok = abs(sums - 1.0) < ROW_SUM_TOL
-    # A vector's sum is a scalar: test it as one (ndarray.all costs more
-    # than the whole check for the small chains of a sweep).
+    # A vector's sum is a scalar: test it as one (ndarray.all costs more than
+    # the whole check on a short vector: a sequence's shannon_entropy, a law).
     if values.ndim == 1:
         if not ok:
             _reject_non_finite(values, what)
@@ -288,7 +296,7 @@ class _Blocks:
 
     def __init__(self, rows: np.ndarray, irreducible: bool = False):
         n = rows.shape[0]
-        self.rows = rows
+        self.rows, self.u = rows, 1.0 / n
         self.n_components = 1
         self.transient = np.arange(0)
         classes = [np.arange(n)]
@@ -327,32 +335,35 @@ class _Blocks:
         ``c·z_T·P_TC`` into the closed states and the mass ``p·sum(z_T)``.
         The solve is skipped without transient states, and at ``p = 0``
         with one closed class, which then holds all the mass."""
-        t = self.transient.size
+        n, t = self.rows.shape[0], self.transient.size
         if not t or (p == 0.0 and len(self.closed) == 1):
-            return None, np.zeros(self.rows.shape[0]), 0.0
-        z_t = _solve(_identity_minus(1.0 - p, self.p_tt), np.full(t, 1.0 / self.rows.shape[0]))
+            return None, np.zeros(n - t), 0.0
+        z_t = _solve(_identity_minus(1.0 - p, self.p_tt), np.full(t, self.u))
         return z_t, (1.0 - p) * (z_t @ self.p_tc), p * z_t.sum()
+
+    def masses(self, p, inflow: np.ndarray) -> list:
+        """Each closed class's mass ``m_C = |C|/n + c·z_T·P_TC·1`` at ``p``
+        (a point, or an array of them) from its :meth:`inflow` (a row per
+        point); at ``p = 0`` the one closed class holds all the mass, 1."""
+        masses = [m.size * self.u + inflow[..., part].sum(axis=-1) for m, part, _ in self.closed]
+        return [np.where(p == 0.0, 1.0, masses[0])] if len(masses) == 1 else masses
 
     def solve(self, p: float) -> tuple[np.ndarray | None, list[np.ndarray], float]:
         """``z_T`` (``x_T = p·z_T``; ``None`` when skipped), each ``x_C``,
         and the mass ``p·sum(z_T) + sum_C m_C``, which is 1 exactly.
 
-        A closed class holds ``m_C = |C|/n + c·z_T·P_TC·1``, and ``x_C``
-        solves ``x_C(I - cP_CC) = p(u_C + c·z_T·P_TC)`` with its last
-        equation replaced by ``sum(x_C) = m_C``, which stays well
-        conditioned however small ``p`` is. At ``p = 0`` this gives ``x_T
-        = 0`` and ``x_C = m_C·π_C``.
+        ``x_C`` solves ``x_C(I - cP_CC) = p(u_C + c·z_T·P_TC)`` with its
+        last equation replaced by ``sum(x_C) = m_C`` (:meth:`masses`),
+        which stays well conditioned however small ``p`` is. At ``p = 0``
+        this gives ``x_T = 0`` and ``x_C = m_C·π_C``.
         """
         c = 1.0 - p
-        u = 1.0 / self.rows.shape[0]
-        one_class = p == 0.0 and len(self.closed) == 1
         z_t, inflow, mass = self.inflow(p)
         x_closed = []
-        for _, part, p_cc in self.closed:
-            m_c = 1.0 if one_class else p_cc.shape[0] * u + inflow[part].sum()
+        for (_, part, p_cc), m_c in zip(self.closed, self.masses(p, inflow)):
             a = _identity_minus(c, p_cc)
             a[-1] = 1.0
-            b = p * (u + inflow[part])
+            b = p * (self.u + inflow[part])
             b[-1] = m_c
             x_closed.append(_solve(a, b))
             mass += m_c
@@ -400,6 +411,47 @@ class _Blocks:
             out.append((pi @ h, q, np.array(terms)))
         return out
 
+    def rates(self, p_values) -> list[float]:
+        """The certified ``x(p)·h`` at each of ``p_values``. One ``p`` takes
+        the block solve (:meth:`rate`). Several share one inverse per closed
+        class ``C`` (:meth:`series`): ``x_C·h_C = c·m_C(π_C·h_C) + p·sum_k
+        (-p)^k b·g_k``, ``b = u_C + c·z_T·P_TC``, within ``m_C·||r||_inf``
+        for the residual ``r`` of the summed ``(I - cP_CC)^-1 h_C``; a point
+        whose bound exceeds ``_SERIES_TOL`` takes the block solve. The
+        transient solve's error grows as ``eps/(p + leak)`` for a block that
+        leaks out of itself slowly: a point whose ``p·sum(z_T) + sum_C m_C``
+        is off 1 by more than ``STATIONARY_RESIDUAL_TOL``, or whose value is
+        not finite, raises :class:`IllConditionedError`."""
+        if len(p_values) < 2:
+            return [self.rate(p) for p in p_values]
+        p = np.array(p_values)
+        c = 1.0 - p
+        h_t = self.h[self.transient]
+        z_t, inflow, mass = zip(*map(self.inflow, p_values))
+        xh = np.array([0.0 if z is None else p_j * (z @ h_t) for p_j, z in zip(p_values, z_t)])
+        inflow, mass, bound = np.array(inflow), np.array(mass), np.zeros(p.size)
+        for (members, part, p_cc), (pi_h, q, terms), m_c in zip(
+            self.closed, self.series(p_values), self.masses(p, inflow)
+        ):
+            # s = sum_k (-p)^k g_k; a point beyond q diverges and is not summed.
+            s = np.power.outer(-np.minimum(p, q) / q, np.arange(len(terms))) @ terms
+            r = s - c[:, None] * (s @ p_cc) + (c[:, None] * pi_h - self.h[members])
+            bound += np.where(p > q, np.inf, m_c * np.abs(r).max(axis=1))
+            xh += c * m_c * pi_h + p * ((self.u + inflow[:, part]) * s).sum(axis=1)
+            mass += m_c
+        return [
+            _certified(p_j, mass[j], "x·h", xh[j]) if bound[j] <= _SERIES_TOL else self.rate(p_j)
+            for j, p_j in enumerate(p_values)
+        ]
+
+    def rate(self, p: float) -> float:
+        """The certified ``x(p)·h`` at one ``p`` from the block solve: the reference."""
+        z_t, x_closed, mass = self.solve(p)
+        xh = 0.0 if z_t is None else p * (z_t @ self.h[self.transient])
+        for (members, _, _), x_c in zip(self.closed, x_closed):
+            xh += x_c @ self.h[members]
+        return _certified(p, mass, "x·h", xh)
+
     def stationary(self, p: float) -> np.ndarray:
         """``x(p)`` over all n states, clipped at 0 and renormalised.
 
@@ -415,14 +467,20 @@ class _Blocks:
         for (members, _, _), x_c in zip(self.closed, x_closed):
             x[members] = x_c
         residual = float(np.abs(x - (1.0 - p) * (x @ rows) - p / rows.shape[0]).sum())
-        # NaN fails both tests, so a non-finite solve raises here too.
-        if not (abs(mass - 1.0) <= STATIONARY_RESIDUAL_TOL and residual < STATIONARY_RESIDUAL_TOL):
-            raise IllConditionedError(
-                f"stationary solve at p={p!r} failed its certificate: mass {float(mass)!r}, "
-                f"residual {residual!r} (tolerance {STATIONARY_RESIDUAL_TOL})"
-            )
+        _certified(p, mass, "residual", residual, STATIONARY_RESIDUAL_TOL)
         np.maximum(x, 0.0, out=x)
         return x / x.sum()
+
+
+def _certified(p: float, mass: float, name: str, value: float, limit: float = np.inf) -> float:
+    """``value``, once ``|value| < limit`` and the mass identity holds within
+    ``STATIONARY_RESIDUAL_TOL``; NaN fails both tests, so a non-finite solve raises."""
+    if not (abs(mass - 1.0) <= STATIONARY_RESIDUAL_TOL and abs(value) < limit):
+        raise IllConditionedError(
+            f"stationary solve at p={p!r} failed its certificate: mass {float(mass)!r}, "
+            f"{name} {float(value)!r} (tolerance {STATIONARY_RESIDUAL_TOL})"
+        )
+    return value
 
 
 def _identity_minus(c: float, block: np.ndarray) -> np.ndarray:
@@ -557,8 +615,7 @@ def _walk(matrix: TransitionMatrix, first: int, blocks) -> list[str]:
         for s, d in zip(sources, draws):
             cum, cols = cells[states[s]]
             append(cols[bisect_left(cum, d)])
-    labels = matrix.states.labels
-    return [labels[i] for i in states]
+    return matrix.states.decode(states)
 
 
 def _resolve_init(matrix: TransitionMatrix, init, rng) -> int:
@@ -679,8 +736,9 @@ def save_matrix_json(matrix: TransitionMatrix, path) -> None:
 
 
 def load_matrix_json(path) -> TransitionMatrix:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return validate_stochastic(doc["rows"], doc["labels"])
+    with malformed_file(path):
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return validate_stochastic(doc["rows"], doc["labels"])
 
 
 def save_matrix_csv(matrix: TransitionMatrix, path) -> None:
@@ -693,11 +751,11 @@ def save_matrix_csv(matrix: TransitionMatrix, path) -> None:
 
 
 def load_matrix_csv(path) -> TransitionMatrix:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, malformed_file(path):
         reader = csv.reader(fh)
         try:
             labels = next(reader)
         except StopIteration:
             raise NonSquareError("empty CSV matrix file") from None
         rows = [[float(x) for x in row] for row in reader if row]
-    return validate_stochastic(rows, labels)
+        return validate_stochastic(rows, labels)

@@ -1,11 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lamp_entropy
 from lamp_entropy import (
     DEFAULT_RARE_TOKEN,
     KernelDistribution,
@@ -278,6 +282,50 @@ def test_invalid_number_rejected_before_loading(tmp_path, capsys, argv):
     code = run([*argv[:1], "--input", tmp_path / "nope.lines", *argv[1:]])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+# Each input file is malformed in one way; the option that reads it.
+MALFORMED_INPUTS = {
+    "model-not-json": ("--model", "m.json", b'{"labels": ["a", "b"],'),
+    "model-without-kernel": ("--model", "m.json", b'{"labels": ["a"], "rows": [[1.0]]}'),
+    "model-integer-labels": (
+        "--model", "m.json", b'{"labels": [0, 1], "rows": [[0.5, 0.5], [1, 0]], "kernel": [1]}'
+    ),
+    "matrix-csv-ragged": ("--matrix", "m.csv", b"a,b\n0.5,0.5\n1.0\n"),
+    "matrix-csv-non-numeric": ("--matrix", "m.csv", b"a,b\n0.5,half\n1.0,0.0\n"),
+    "corpus-not-utf8": ("--input", "c.lines", b"a b \xff a b\n"),
+}
+
+
+def malformed_argv(tmp_path, case):
+    option, name, content = MALFORMED_INPUTS[case]
+    path = tmp_path / name
+    path.write_bytes(content)
+    if option == "--input":
+        return ["entropy", "--input", path, "--method", "markov", "--output", tmp_path / "r.json"]
+    return ["simulate", option, path, "--steps", 5, "--output", tmp_path / "s.lines"]
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_file_is_one_json_error(tmp_path, capsys, case):
+    assert run(malformed_argv(tmp_path, case)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "MalformedFileError"
+    assert MALFORMED_INPUTS[case][1] in err["message"]
+
+
+@pytest.mark.parametrize("case", ["model-without-kernel", "corpus-not-utf8"])
+def test_module_entry_point_exits_1_with_one_json_line(tmp_path, case):
+    argv = [str(a) for a in malformed_argv(tmp_path, case)]
+    env = {**os.environ, "PYTHONPATH": str(Path(lamp_entropy.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "lamp_entropy", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 1
+    [line] = done.stderr.splitlines()
+    assert json.loads(line)["error"] == "MalformedFileError"
 
 
 def test_cli_defaults_are_the_library_defaults(tmp_path, cycle_corpus):

@@ -32,7 +32,7 @@ from lamp_entropy import (
     strongly_connected_components,
     validate_stochastic,
 )
-from lamp_entropy import conditioning, markov
+from lamp_entropy import markov
 
 from test_cli import pinned_corpus_text
 from test_markov import PERIODIC_TWO_CYCLE, random_ergodic
@@ -463,13 +463,13 @@ def nearly_decomposable_class(coupling):
 def block_solves(monkeypatch):
     """The ``p`` of every rate that ``induced_entropy_rates`` takes from the block solve."""
     seen = []
-    block_rate = conditioning._block_rate
+    rate = markov._Blocks.rate
 
-    def spy(blocks, p, log2_n):
+    def spy(blocks, p):
         seen.append(p)
-        return block_rate(blocks, p, log2_n)
+        return rate(blocks, p)
 
-    monkeypatch.setattr(conditioning, "_block_rate", spy)
+    monkeypatch.setattr(markov._Blocks, "rate", spy)
     return seen
 
 
@@ -530,6 +530,26 @@ class TestStationaryDistribution:
         for i in (25, 40, 50, 54, 60):
             bits = stationary_distribution_estimate(P, Induced(2.0**-i)).bits_per_symbol
             assert abs(bits - oracle_induced_law_entropy(P.rows, i)) < 1e-12, i
+
+
+class TestBlockRates:
+    """``markov._Blocks.rates``: the certified ``x(p)·h`` behind every induced rate."""
+
+    TRANSIENT_INTO_ONE_CLASS = [[0.2, 0.5, 0.3], [0.0, 0.1, 0.9], [0.0, 0.6, 0.4]]
+
+    def test_p_zero_puts_all_the_mass_on_the_one_closed_class(self, block_solves):
+        blocks = markov._Blocks(np.array(self.TRANSIENT_INTO_ONE_CLASS))
+        expected = blocks.stationary(0.0) @ blocks.h
+        [one] = blocks.rates([0.0])
+        zero, _ = blocks.rates([0.0, 2.0**-20])
+        assert block_solves == [0.0]  # the pair is summed from the series
+        for xh in (one, zero):
+            assert abs(xh - expected) <= 1e-15
+
+    @pytest.mark.parametrize("p_values", [[2.0**-50], [2.0**-20, 2.0**-50]], ids=["one", "many"])
+    def test_point_failing_the_certificate_raises(self, p_values):
+        with pytest.raises(IllConditionedError, match="p=8.881784197001252e-16"):
+            markov._Blocks(nearly_decomposable().rows).rates(p_values)
 
 
 class TestInducedEntropyRates:

@@ -178,6 +178,20 @@ class TestEncodedCorpus:
         with pytest.raises(ValueError):
             SequenceCorpus(tokens, offsets, vocab)
 
+    @pytest.mark.parametrize(
+        "tokens, offsets",
+        [([0.7, 1.9], [0, 2]), (np.array([0, 2**32 + 1]), [0, 2]), ([0, 1], [0.0, 2.0])],
+        ids=["float-codes", "int64-code-beyond-int32", "float-offsets"],
+    )
+    def test_values_the_cast_would_change_are_rejected(self, tokens, offsets):
+        vocab = SequenceCorpus.from_sequences(["ab"]).vocabulary
+        with pytest.raises(ValueError):
+            SequenceCorpus(tokens, offsets, vocab)
+
+    def test_empty_token_list_is_valid(self):
+        corpus = SequenceCorpus([], [0, 0], SequenceCorpus.from_sequences(["ab"]).vocabulary)
+        assert (corpus.tokens.dtype, corpus.total_tokens, corpus.n_sequences) == (np.int32, 0, 1)
+
     def test_equality_is_identity(self):
         corpus = SequenceCorpus.from_sequences([["a", "b"]])
         assert corpus == corpus

@@ -93,8 +93,8 @@ PINNED_FITS = {
     ("k1-short", 1): "4923f5a6de1255c3ae01769e05a28d4c40c9fdc5b38bbe6d2beaaecb81b37c2b",
     ("k2-short", 2): "1ddf0577ccee572c79094bf77914d84fd2c86c2f0fbb3399d98f256cff52f413",
     ("k7-spike", 7): "8a1f8f59b339beb591124310cd5a1f6b5d2c04d37a8b5ce2e0bc11864e652894",
-    ("states-64", 10): "b1e2f42ee83aed6ee353a1c63664b8cbb0e5c53facc5880423c7efdaf4a72088",
-    ("states-64", 12): "70089c4c53337daddd04d943a1928b653b0bcb52a2e892fe15418ebecf0280b1",
+    ("states-64", 10): "228afdaf95d3a0f5a146530ccbdedef4a1fe2567e22291fce0c2b9bd77e79b6c",
+    ("states-64", 12): "89bfdde97c8289fb00c0e06dc4c2f4514e7d8b8e1056db85a9952a4ab0e0de47",
 }
 
 

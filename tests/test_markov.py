@@ -12,6 +12,7 @@ from lamp_entropy import (
     DuplicateLabelError,
     InvalidInitStateError,
     InvalidProbabilityError,
+    MalformedFileError,
     NegativeEntryError,
     NonSquareError,
     NotIrreducibleError,
@@ -108,6 +109,10 @@ class TestValidateStochastic:
     def test_duplicate_label(self):
         with pytest.raises(DuplicateLabelError):
             validate_stochastic([[0.5, 0.5], [0.5, 0.5]], ["a", "a"])
+
+    def test_labels_must_be_strings(self):
+        with pytest.raises(TypeError):
+            validate_stochastic([[0.5, 0.5], [1.0, 0.0]], ["a", 1])
 
     def test_tiny_deviation_renormalised(self):
         P = validate_stochastic([[0.5, 0.5 + 1e-12], [1.0, 0.0]], ["a", "b"])
@@ -406,6 +411,16 @@ class TestMatrixIO:
         path.write_text(json.dumps({"labels": ["a", "b"], "rows": [[NAN, 1.0], [0.5, 0.5]]}))
         assert "NaN" in path.read_text()
         with pytest.raises(InvalidProbabilityError):
+            load_matrix_json(path)
+
+    @pytest.mark.parametrize(
+        "doc", [{"labels": [0, 1], "rows": [[0.5, 0.5], [1.0, 0.0]]}, {"labels": ["a"]}, [[1.0]]],
+        ids=["integer-labels", "no-rows", "not-an-object"],
+    )
+    def test_malformed_json_names_the_file(self, tmp_path, doc):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFileError, match="m.json"):
             load_matrix_json(path)
 
     def test_json_bytes_are_json_dumps(self, tmp_path):
