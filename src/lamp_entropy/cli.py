@@ -1,10 +1,11 @@
 """Command-line entry point for reproducible batch runs.
 
 Subcommands: ``simulate``, ``fit``, ``entropy``, ``sweep``, ``profile``
-and ``preprocess``. Every artifact carries the run configuration: JSON
-outputs embed it under a ``config`` key, CSV and Lines outputs get a
-``<output>.run.json`` sidecar so their formats stay clean. Identical
-configurations and inputs produce byte-identical artifacts.
+and ``preprocess``. Every artifact carries the run configuration, the
+plain dict ``{"subcommand": ..., "params": ...}`` that :func:`main`
+builds: JSON outputs embed it under a ``config`` key, CSV and Lines
+outputs get a ``<output>.run.json`` sidecar so their formats stay clean.
+Identical configurations and inputs produce byte-identical artifacts.
 
 Log verbosity is controlled by the ``LAMP_ENTROPY_LOG_LEVEL``
 environment variable: a level name in any case (default WARNING). An
@@ -19,7 +20,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -41,17 +41,6 @@ from .estimators import (
 from .fitting import DEFAULT_EM_MAX_ITER, DEFAULT_EM_TOL, fit_first_order, fit_lamp_em
 from .lamp import load_model, save_model, simulate_lamp
 from .markov import EncodedJSON, load_matrix_csv, load_matrix_json, simulate_markov, write_json
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run, minus the input file contents."""
-
-    subcommand: str
-    params: dict
-
-    def to_json_dict(self) -> dict:
-        return {"subcommand": self.subcommand, "params": self.params}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,16 +143,13 @@ def main(argv=None) -> int:
         for key, value in sorted(vars(args).items())
         if key not in ("func", "subcommand")
     }
-    config = RunConfig(args.subcommand, params)
+    config = {"subcommand": args.subcommand, "params": params}
     try:
         _configure_logging()
         args.func(args, config)
-    except ConfigError as exc:
-        _emit_error(exc, config)
-        return 2
     except (LampError, OSError) as exc:
         _emit_error(exc, config)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     return 0
 
 
@@ -176,24 +162,21 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level)
 
 
-def _emit_error(exc: Exception, config: RunConfig) -> None:
+def _emit_error(exc: Exception, config: dict) -> None:
     doc = {
         "error": type(exc).__name__,
         "message": str(exc),
-        "subcommand": config.subcommand,
+        "subcommand": config["subcommand"],
     }
     print(json.dumps(doc), file=sys.stderr)
 
 
-def _write_json(path, doc: dict, config: RunConfig) -> None:
-    write_json({**doc, "config": config.to_json_dict()}, path)
+def _write_json(path, doc: dict, config: dict) -> None:
+    write_json({**doc, "config": config}, path)
 
 
-def _write_sidecar(path, config: RunConfig, extra: dict | None = None) -> None:
-    doc = config.to_json_dict()
-    if extra:
-        doc.update(extra)
-    write_json(doc, f"{path}.run.json")
+def _write_sidecar(path, config: dict, extra: dict | None = None) -> None:
+    write_json({**config, **(extra or {})}, f"{path}.run.json")
 
 
 def _write_lines(path, sequences, labels) -> None:
@@ -235,8 +218,10 @@ def _preprocessed_corpus(args):
     return cleaned, info
 
 
-def _check_em_args(args) -> None:
-    """Reject EM settings before the corpus is read."""
+def _check_em_args(args, option: str) -> None:
+    """Reject EM settings before the corpus is read; ``option`` is what asked for EM."""
+    if args.k is None:
+        raise ConfigError(f"{option} needs --k")
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     if args.max_iter < 1:
@@ -253,7 +238,7 @@ def _conditioning(args):
     return Induced(args.p_artificial)
 
 
-def _cmd_simulate(args, config: RunConfig) -> None:
+def _cmd_simulate(args, config: dict) -> None:
     if (args.model is None) == (args.matrix is None):
         raise ConfigError("provide exactly one of --model or --matrix")
     if args.steps < 1:
@@ -272,8 +257,8 @@ def _cmd_simulate(args, config: RunConfig) -> None:
     print(f"wrote {args.steps} symbols to {args.output}")
 
 
-def _cmd_fit(args, config: RunConfig) -> None:
-    _check_em_args(args)
+def _cmd_fit(args, config: dict) -> None:
+    _check_em_args(args, "fit")
     corpus, info = _preprocessed_corpus(args)
     report = fit_lamp_em(corpus, args.k, max_iter=args.max_iter, tol=args.tol)
     # The model is encoded once: the report embeds the text of the model file.
@@ -288,11 +273,9 @@ def _cmd_fit(args, config: RunConfig) -> None:
     )
 
 
-def _cmd_entropy(args, config: RunConfig) -> None:
+def _cmd_entropy(args, config: dict) -> None:
     if args.method == "lamp":
-        if args.k is None:
-            raise ConfigError("--method lamp needs --k")
-        _check_em_args(args)
+        _check_em_args(args, "--method lamp")
     conditioning = None if args.method in ("sequence-level", "path-level") else _conditioning(args)
     corpus, info = _preprocessed_corpus(args)
     if args.method == "sequence-level":
@@ -318,11 +301,9 @@ def _cmd_entropy(args, config: RunConfig) -> None:
     print(f"{report.method.value}: {report.bits_per_symbol:.6f} bits/symbol")
 
 
-def _cmd_sweep(args, config: RunConfig) -> None:
+def _cmd_sweep(args, config: dict) -> None:
     if args.model_kind == "lamp":
-        if args.k is None:
-            raise ConfigError("--model-kind lamp needs --k")
-        _check_em_args(args)
+        _check_em_args(args, "--model-kind lamp")
     i_max = args.i_max
     if i_max is None:
         lamp = args.model_kind == "lamp"
@@ -349,7 +330,7 @@ def _cmd_sweep(args, config: RunConfig) -> None:
     print(f"recommended_exponent: {result.recommended_exponent}")
 
 
-def _cmd_profile(args, config: RunConfig) -> None:
+def _cmd_profile(args, config: dict) -> None:
     if args.max_lag < 1:
         raise ConfigError("--max-lag must be >= 1")
     corpus = _load_corpus(args)
@@ -359,7 +340,7 @@ def _cmd_profile(args, config: RunConfig) -> None:
     print(f"wrote {len(profile)} lags to {args.output}")
 
 
-def _cmd_preprocess(args, config: RunConfig) -> None:
+def _cmd_preprocess(args, config: dict) -> None:
     corpus, info = _preprocessed_corpus(args)
     _write_lines(args.output, corpus.sequences, corpus.vocabulary.labels)
     _write_sidecar(args.output, config)

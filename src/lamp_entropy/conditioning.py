@@ -103,10 +103,8 @@ def strongly_connected_components(
 
     Iterative Tarjan, linear in nodes plus edges. ``largest_id`` picks
     the maximum-cardinality component, ties broken by the lowest state
-    index it contains.
+    index it contains. A threshold below 0, or NaN, raises ValueError.
     """
-    if edge_threshold < 0:
-        raise ValueError("edge_threshold must be >= 0")
     components, component_of = _tarjan(*_edges(matrix.rows, edge_threshold))
     frozen = tuple(frozenset(members) for members in components)
     best = max(range(len(frozen)), key=lambda c: (len(frozen[c]), -min(frozen[c])))

@@ -14,7 +14,7 @@ stabilises.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -53,13 +53,9 @@ class EntropyReport:
     details: dict | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method.value,
-            "bits_per_symbol": self.bits_per_symbol,
-            "conditioning": self.conditioning,
-            "preprocessing": self.preprocessing,
-            "details": self.details,
-        }
+        """Every field, in order, with the method as its value."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**doc, "method": self.method.value}
 
 
 @dataclass(frozen=True)
@@ -218,15 +214,9 @@ def sweep_p_artificial(
     exponents = tuple(int(i) for i in exponents)
     if not exponents:
         raise ValueError("exponent range is empty")
-    raw_t = tuple(induced_entropy_rates(fitted, [2.0**-i for i in exponents]))
-    result = SweepResult(
-        exponents,
-        raw_t,
-        tuple(minmax_normalize(raw_t)),
-        None,
-    )
-    recommended = detect_plateau(result)
-    return SweepResult(exponents, raw_t, result.normalized, recommended)
+    raw = tuple(induced_entropy_rates(fitted, [2.0**-i for i in exponents]))
+    result = SweepResult(exponents, raw, tuple(minmax_normalize(raw)), None)
+    return replace(result, recommended_exponent=detect_plateau(result))
 
 
 def minmax_normalize(values) -> list[float]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,12 +47,8 @@ class FitReport:
         return {"model": model_to_json_dict(self.model), **self._fit_json_dict()}
 
     def _fit_json_dict(self) -> dict:
-        # Everything but the model, which the CLI embeds already encoded.
-        return {
-            "log_likelihood_trace": list(self.log_likelihood_trace),
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+        # Every field but the model, which the CLI embeds already encoded.
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "model"}
 
 
 def count_transitions(corpus: SequenceCorpus) -> TransitionCounts:

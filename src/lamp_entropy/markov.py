@@ -155,8 +155,10 @@ def validate_stochastic(raw, labels) -> TransitionMatrix:
     sum already deviates from 1 by less than ``ROW_SUM_TOL``; larger
     deviations are rejected rather than silently repaired. Any other
     row is divided by 1.0, which is exact, so :class:`TransitionMatrix`
-    checks it with its raw values. Labels must be strings.
+    checks it with its raw values. Labels must be a sequence of strings.
     """
+    if isinstance(labels, str):  # tuple() would split it into characters
+        raise TypeError("labels must be a sequence of strings, not one string")
     labels = tuple(labels)
     if not all(isinstance(label, str) for label in labels):
         raise TypeError("labels must be strings")
@@ -201,18 +203,23 @@ def _reject_non_finite(values: np.ndarray, what: str) -> None:
 
 
 def is_irreducible(matrix: TransitionMatrix, edge_threshold: float = 0.0) -> bool:
-    """True when every state reaches every other via transitions above ``edge_threshold``."""
+    """True when every state reaches every other via transitions above
+    ``edge_threshold``, which must be >= 0 (:func:`_edges`)."""
     return len(_tarjan(*_edges(matrix.rows, edge_threshold))[0]) == 1
 
 
 def _edges(rows: np.ndarray, threshold: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Row starts and int32 targets of the edges ``i -> j`` with ``rows[i, j] >
-    threshold``: those leaving ``i`` are ``targets[starts[i]:starts[i + 1]]``.
-    No ``(nnz, 2)`` index buffer is alive while :func:`_tarjan` walks them.
+    """Row starts and int32 columns of the cells of a 2-D ``rows`` above
+    ``threshold``: row ``i``'s are ``cols[starts[i]:starts[i + 1]]``. The one
+    scan for edges and the one threshold rule: ``threshold >= 0``, which NaN
+    fails, or :class:`ValueError`. No ``(nnz, 2)`` index buffer is alive
+    while :func:`_tarjan` walks them.
     """
-    n = rows.shape[0]
+    if not threshold >= 0:
+        raise ValueError(f"edge_threshold must be >= 0, got {threshold!r}")
+    m, n = rows.shape
     flat = np.flatnonzero(rows > threshold)
-    starts = np.searchsorted(flat, np.arange(0, n * n + 1, n))
+    starts = np.searchsorted(flat, np.arange(0, m * n + 1, n))
     np.remainder(flat, n, out=flat)
     return starts, flat.astype(np.int32)
 
@@ -634,8 +641,8 @@ def _resolve_init(matrix: TransitionMatrix, init, rng) -> int:
 
 def _inverse_cdf(probs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per row of ``probs`` (a stochastic matrix, or one probability
-    vector): the cumulative sums at its positive cells and those cells'
-    columns.
+    vector): the cumulative sums at its positive cells, found by
+    :func:`_edges`, and those cells' columns.
 
     The sums are the dense row's cumulative sums, and a uniform draw
     ``u`` maps to the first positive cell whose sum is >= ``u``. That is
@@ -646,12 +653,10 @@ def _inverse_cdf(probs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     on the row's last positive cell.
     """
     rows = np.atleast_2d(probs)
-    cells = np.flatnonzero(rows)
-    cum = np.cumsum(rows, axis=1).ravel()[cells]
-    cols = np.remainder(cells, rows.shape[1], out=cells)
-    ends = np.cumsum(np.count_nonzero(rows, axis=1))
-    cum[ends - 1] = np.inf
-    bounds = [0, *ends.tolist()]
+    starts, cols = _edges(rows)
+    cum = np.cumsum(rows, axis=1)[np.repeat(np.arange(rows.shape[0]), np.diff(starts)), cols]
+    cum[starts[1:] - 1] = np.inf
+    bounds = starts.tolist()
     return [(cum[a:b], cols[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 

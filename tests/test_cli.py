@@ -273,13 +273,19 @@ class TestSweep:
          "--output", "p.csv"],
         ["preprocess", "--format", "tsv", "--group-col", 0, "--item-col", -1,
          "--output", "c.lines"],
+        ["sweep", "--i-min", 0, "--output", "s.csv"],
+        ["sweep", "--i-min", 5, "--i-max", 3, "--output", "s.csv"],
+        ["profile", "--format", "tsv", "--max-lag", 1, "--output", "p.csv"],
+        ["simulate", "--steps", 0, "--output", "s.lines"],
     ],
     ids=["fit-k", "fit-max-iter", "entropy-k", "sweep-k", "min-count", "max-lag",
-         "p-artificial", "tol-nan", "group-col-minus-5", "group-col-minus-1", "item-col-minus-1"],
+         "p-artificial", "tol-nan", "group-col-minus-5", "group-col-minus-1", "item-col-minus-1",
+         "i-min-0", "i-max-below-i-min", "tsv-without-columns", "steps-0"],
 )
 def test_invalid_number_rejected_before_loading(tmp_path, capsys, argv):
     # The input does not exist: reading it first would exit 1 with an I/O error.
-    code = run([*argv[:1], "--input", tmp_path / "nope.lines", *argv[1:]])
+    source = "--model" if argv[0] == "simulate" else "--input"
+    code = run([*argv[:1], source, tmp_path / "nope.lines", *argv[1:]])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
@@ -290,6 +296,9 @@ MALFORMED_INPUTS = {
     "model-without-kernel": ("--model", "m.json", b'{"labels": ["a"], "rows": [[1.0]]}'),
     "model-integer-labels": (
         "--model", "m.json", b'{"labels": [0, 1], "rows": [[0.5, 0.5], [1, 0]], "kernel": [1]}'
+    ),
+    "model-string-labels": (
+        "--model", "m.json", b'{"labels": "ab", "rows": [[0.5, 0.5], [0.5, 0.5]], "kernel": [1.0]}'
     ),
     "matrix-csv-ragged": ("--matrix", "m.csv", b"a,b\n0.5,0.5\n1.0\n"),
     "matrix-csv-non-numeric": ("--matrix", "m.csv", b"a,b\n0.5,half\n1.0,0.0\n"),
@@ -316,7 +325,7 @@ def test_malformed_input_file_is_one_json_error(tmp_path, capsys, case):
     assert MALFORMED_INPUTS[case][1] in err["message"]
 
 
-@pytest.mark.parametrize("case", ["model-without-kernel", "corpus-not-utf8"])
+@pytest.mark.parametrize("case", ["model-without-kernel", "corpus-not-utf8", "model-string-labels"])
 def test_module_entry_point_exits_1_with_one_json_line(tmp_path, case):
     argv = [str(a) for a in malformed_argv(tmp_path, case)]
     env = {**os.environ, "PYTHONPATH": str(Path(lamp_entropy.__file__).parents[1])}

@@ -95,6 +95,15 @@ class TestStronglyConnectedComponents:
         part = strongly_connected_components(P, edge_threshold=0.1)
         assert len(part.components) == 2
 
+    @pytest.mark.parametrize("threshold", [-0.5, math.nan])
+    def test_threshold_below_zero_or_nan_is_rejected(self, threshold):
+        # Every cell of the reducible identity chain exceeds -0.5.
+        P = validate_stochastic([[1.0, 0.0], [0.0, 1.0]], ["a", "b"])
+        with pytest.raises(ValueError, match="edge_threshold must be >= 0"):
+            is_irreducible(P, threshold)
+        with pytest.raises(ValueError, match="edge_threshold must be >= 0"):
+            strongly_connected_components(P, edge_threshold=threshold)
+
     def test_matches_reachability_oracle(self):
         rng = np.random.default_rng(77)
         for _ in range(200):
@@ -130,6 +139,7 @@ class TestStronglyConnectedComponents:
         P = validate_stochastic(raw, [f"s{i}" for i in range(len(raw))])
         part = strongly_connected_components(P, edge_threshold=edge_threshold)
         assert set(part.components) == scc_oracle(P.rows > edge_threshold)
+        assert is_irreducible(P, edge_threshold) == (len(part.components) == 1)
         assert sorted(v for c in part.components for v in c) == list(range(P.n))
         for cid, members in enumerate(part.components):
             assert all(part.component_of[v] == cid for v in members)

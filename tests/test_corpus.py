@@ -30,6 +30,8 @@ class TestLoadSequences:
         assert corpus.sequences == (("a", "b", "a"), ("c", "c"))
         assert corpus.vocabulary.labels == ("a", "b", "c")
         assert corpus.total_tokens == 5
+        with pytest.raises(ValueError, match="unknown corpus format"):
+            load_sequences(path, "csv")
 
     def test_lines_skips_blank_lines(self, tmp_path):
         path = tmp_path / "c.lines"
@@ -38,9 +40,13 @@ class TestLoadSequences:
 
     def test_tsv_grouping(self, tmp_path):
         path = tmp_path / "c.tsv"
-        path.write_text("u1\tx\nu1\ty\nu2\tx\n", encoding="utf-8")
-        corpus = load_sequences(path, fmt="tsv", group_col=0, item_col=1)
-        assert corpus.sequences == (("x", "y"), ("x",))
+        # A blank line is skipped.
+        for text in ("u1\tx\nu1\ty\nu2\tx\n", "u1\tx\n\nu1\ty\nu2\tx\n"):
+            path.write_text(text, encoding="utf-8")
+            corpus = load_sequences(path, fmt="tsv", group_col=0, item_col=1)
+            assert corpus.sequences == (("x", "y"), ("x",))
+        with pytest.raises(ValueError, match="needs group_col and item_col"):
+            load_sequences(path, fmt="tsv")
 
     def test_tsv_malformed_row(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -60,6 +66,9 @@ class TestLoadSequences:
         path.write_text("", encoding="utf-8")
         with pytest.raises(EmptyCorpusError):
             load_sequences(path)
+        path.write_text("\n \n\n", encoding="utf-8")
+        with pytest.raises(EmptyCorpusError):
+            load_sequences(path, "tsv", 0, 1)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -94,9 +94,13 @@ class TestValidateStochastic:
         with pytest.raises(RowSumError):
             validate_stochastic([[0.5, 0.6], [1.0, 0.0]], ["a", "b"])
 
-    def test_non_square(self):
+    def test_non_square(self, tmp_path):
         with pytest.raises(NonSquareError):
             validate_stochastic([[0.5, 0.5]], ["a"])
+        path = tmp_path / "m.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(NonSquareError):
+            load_matrix_csv(path)
 
     def test_label_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -111,8 +115,10 @@ class TestValidateStochastic:
             validate_stochastic([[0.5, 0.5], [0.5, 0.5]], ["a", "a"])
 
     def test_labels_must_be_strings(self):
-        with pytest.raises(TypeError):
-            validate_stochastic([[0.5, 0.5], [1.0, 0.0]], ["a", 1])
+        # A string is no sequence of labels: tuple("ab") would be ("a", "b").
+        for labels in (["a", 1], "ab"):
+            with pytest.raises(TypeError):
+                validate_stochastic([[0.5, 0.5], [1.0, 0.0]], labels)
 
     def test_tiny_deviation_renormalised(self):
         P = validate_stochastic([[0.5, 0.5 + 1e-12], [1.0, 0.0]], ["a", "b"])
