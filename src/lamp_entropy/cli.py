@@ -24,12 +24,11 @@ from pathlib import Path
 
 from . import __version__
 from .conditioning import DEFAULT_P_ARTIFICIAL, Induced, LargestCC
-from .corpus import DEFAULT_RARE_TOKEN, load_sequences, preprocess
+from .corpus import DEFAULT_MIN_COUNT, DEFAULT_RARE_TOKEN, load_sequences, preprocess
 from .dependence import corpus_dependency_profile, write_profile_csv
 from .errors import ConfigError, LampError, UnwritableLabelError
 from .estimators import (
-    DEFAULT_LAMP_SWEEP_EXPONENTS,
-    DEFAULT_MARKOV_SWEEP_EXPONENTS,
+    DEFAULT_SWEEP_EXPONENTS,
     lamp_plugin_estimate,
     markov_plugin_estimate,
     path_level_estimate,
@@ -87,15 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="entropy vs artificial weight 2**-i")
     _add_corpus_args(swp)
     _add_preprocess_args(swp)
-    swp.add_argument("--model-kind", choices=["markov", "lamp"], default="markov")
+    swp.add_argument("--model-kind", choices=list(DEFAULT_SWEEP_EXPONENTS), default="markov")
     swp.add_argument("--k", type=int, default=None, help="kernel order (lamp kind)")
     swp.add_argument("--i-min", type=int, default=1)
     swp.add_argument(
         "--i-max",
         type=int,
         default=None,
-        help=f"default {DEFAULT_MARKOV_SWEEP_EXPONENTS[-1]} (markov) or "
-        f"{DEFAULT_LAMP_SWEEP_EXPONENTS[-1]} (lamp)",
+        help="default "
+        + " or ".join(f"{r[-1]} ({kind})" for kind, r in DEFAULT_SWEEP_EXPONENTS.items()),
     )
     _add_em_args(swp)
     swp.add_argument("--output", required=True, help="sweep CSV")
@@ -126,7 +125,7 @@ def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_preprocess_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-count", type=int, default=10, help="rare-token threshold")
+    parser.add_argument("--min-count", type=int, default=DEFAULT_MIN_COUNT, help="rare-token threshold")
     parser.add_argument("--rare-token", default=DEFAULT_RARE_TOKEN)
 
 
@@ -304,10 +303,7 @@ def _cmd_entropy(args, config: dict) -> None:
 def _cmd_sweep(args, config: dict) -> None:
     if args.model_kind == "lamp":
         _check_em_args(args, "--model-kind lamp")
-    i_max = args.i_max
-    if i_max is None:
-        lamp = args.model_kind == "lamp"
-        i_max = (DEFAULT_LAMP_SWEEP_EXPONENTS if lamp else DEFAULT_MARKOV_SWEEP_EXPONENTS)[-1]
+    i_max = DEFAULT_SWEEP_EXPONENTS[args.model_kind][-1] if args.i_max is None else args.i_max
     if args.i_min < 1 or i_max < args.i_min:
         raise ConfigError(f"invalid exponent range {args.i_min}..{i_max}")
     if 2.0**-i_max == 0.0:

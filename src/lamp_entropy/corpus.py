@@ -22,6 +22,7 @@ from .markov import StateSpace
 
 logger = logging.getLogger(__name__)
 
+DEFAULT_MIN_COUNT = 10
 DEFAULT_RARE_TOKEN = "__rare__"
 
 
@@ -62,29 +63,24 @@ class SequenceCorpus:
 
     @classmethod
     def from_sequences(cls, sequences) -> "SequenceCorpus":
-        """Encode label sequences, deriving the vocabulary in first-appearance order."""
-        flat: list = []
-        lengths: list[int] = []
-        for seq in sequences:
-            before = len(flat)
-            flat.extend(seq)
-            lengths.append(len(flat) - before)
-        if not lengths:
-            raise EmptyCorpusError("corpus contains no sequences")
-        return cls._from_flat(flat, lengths)
+        """Encode label sequences, deriving the vocabulary in first-appearance order.
 
-    @classmethod
-    def _from_flat(cls, flat: list, lengths: list[int]) -> "SequenceCorpus":
-        """Encode ``flat`` labels, cut into sequences of the given lengths."""
+        Every corpus built from labels is encoded here, each file that
+        :func:`load_sequences` reads included. Raises
+        :class:`EmptyCorpusError` when there is no token at all.
+        """
+        flat: list = []
+        ends = [0]
+        for seq in sequences:
+            flat.extend(seq)
+            ends.append(len(flat))
         if not flat:
             raise EmptyCorpusError("corpus contains no tokens")
         # One pass: a label not seen before gets the next code.
         index = defaultdict()
         index.default_factory = index.__len__
         codes = np.fromiter(map(index.__getitem__, flat), dtype=np.int32, count=len(flat))
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        return cls(codes, offsets, StateSpace(tuple(index)))
+        return cls(codes, np.array(ends, dtype=np.int64), StateSpace(tuple(index)))
 
     @property
     def n_sequences(self) -> int:
@@ -146,21 +142,12 @@ def load_sequences(
     ``fmt="lines"``: one sequence per line, tokens separated by spaces
     (blank lines are skipped). ``fmt="tsv"``: tab-separated rows grouped
     by the value in ``group_col``; the ``item_col`` values of each group
-    form one sequence in file order. The labels are encoded as they are
-    read, with the vocabulary in order of first appearance.
+    form one sequence in file order. Both are encoded by
+    :meth:`SequenceCorpus.from_sequences`.
     """
     if fmt == "lines":
-        flat: list[str] = []
-        lengths: list[int] = []
         with open(path, "r", encoding="utf-8") as fh, malformed_file(path):
-            for line in fh:
-                tokens = line.split()
-                if tokens:
-                    flat.extend(tokens)
-                    lengths.append(len(tokens))
-        if not lengths:
-            raise EmptyCorpusError(f"no sequences found in {path}")
-        return SequenceCorpus._from_flat(flat, lengths)
+            return SequenceCorpus.from_sequences(filter(None, map(str.split, fh)))
     if fmt == "tsv":
         if group_col is None or item_col is None:
             raise ValueError("tsv format needs group_col and item_col")
@@ -178,8 +165,6 @@ def load_sequences(
                         f"line {lineno}: expected at least {width} columns, got {len(cells)}"
                     )
                 groups.setdefault(cells[group_col], []).append(cells[item_col])
-        if not groups:
-            raise EmptyCorpusError(f"no sequences found in {path}")
         return SequenceCorpus.from_sequences(groups.values())
     raise ValueError(f"unknown corpus format {fmt!r}")
 
@@ -242,7 +227,7 @@ def replace_rare(
 
 def preprocess(
     corpus: SequenceCorpus,
-    min_count: int = 10,
+    min_count: int = DEFAULT_MIN_COUNT,
     rare_token: str = DEFAULT_RARE_TOKEN,
 ) -> tuple[SequenceCorpus, list[dict]]:
     """Run the fixed pipeline: dedupe, replace rare tokens, dedupe again.

@@ -26,8 +26,7 @@ from .fitting import DEFAULT_EM_MAX_ITER, DEFAULT_EM_TOL, fit_first_order, fit_l
 from .lamp import KernelDistribution
 from .markov import TransitionMatrix, _check_probabilities, stationary_distribution
 
-DEFAULT_MARKOV_SWEEP_EXPONENTS = range(1, 26)
-DEFAULT_LAMP_SWEEP_EXPONENTS = range(1, 51)
+DEFAULT_SWEEP_EXPONENTS = {"markov": range(1, 26), "lamp": range(1, 51)}
 DEFAULT_PLATEAU_REL_TOL = 1e-3
 DEFAULT_PLATEAU_WINDOW = 3
 
@@ -193,27 +192,25 @@ def sweep_p_artificial(
 ) -> SweepResult:
     """Entropy estimates across artificial weights ``p = 2**-i``.
 
-    The model is fitted once; only the conditioning varies with ``i``.
-    The normalised curve is a min-max rescaling (all zeros when the raw
-    curve is constant), and the recommended exponent is the default
-    plateau choice.
+    ``kind`` is a key of :data:`DEFAULT_SWEEP_EXPONENTS`, which gives
+    the default exponents. The model is fitted once, after the range is
+    checked; only the conditioning varies with ``i``. The normalised
+    curve is a min-max rescaling (all zeros when the raw curve is
+    constant), and the recommended exponent is the default plateau choice.
     """
-    if kind == "markov":
-        if exponents is None:
-            exponents = DEFAULT_MARKOV_SWEEP_EXPONENTS
-        fitted = fit_first_order(corpus, smoothing=0.0)
-    elif kind == "lamp":
-        if k is None:
-            raise ValueError("lamp sweeps need the kernel order k")
-        if exponents is None:
-            exponents = DEFAULT_LAMP_SWEEP_EXPONENTS
-        fitted = fit_lamp_em(corpus, k, max_iter=max_iter, tol=tol).model.matrix
-    else:
+    if kind not in DEFAULT_SWEEP_EXPONENTS:
         raise ValueError(f"unknown model kind {kind!r}")
-
+    if kind == "lamp" and k is None:
+        raise ValueError("lamp sweeps need the kernel order k")
+    if exponents is None:
+        exponents = DEFAULT_SWEEP_EXPONENTS[kind]
     exponents = tuple(int(i) for i in exponents)
     if not exponents:
         raise ValueError("exponent range is empty")
+    if kind == "lamp":
+        fitted = fit_lamp_em(corpus, k, max_iter=max_iter, tol=tol).model.matrix
+    else:
+        fitted = fit_first_order(corpus, smoothing=0.0)
     raw = tuple(induced_entropy_rates(fitted, [2.0**-i for i in exponents]))
     result = SweepResult(exponents, raw, tuple(minmax_normalize(raw)), None)
     return replace(result, recommended_exponent=detect_plateau(result))

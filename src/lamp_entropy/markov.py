@@ -155,10 +155,11 @@ def validate_stochastic(raw, labels) -> TransitionMatrix:
     sum already deviates from 1 by less than ``ROW_SUM_TOL``; larger
     deviations are rejected rather than silently repaired. Any other
     row is divided by 1.0, which is exact, so :class:`TransitionMatrix`
-    checks it with its raw values. Labels must be a sequence of strings.
+    checks it with its raw values. Labels must be a list or tuple of
+    strings: a set's order would follow the hash seed, a dict give its keys.
     """
-    if isinstance(labels, str):  # tuple() would split it into characters
-        raise TypeError("labels must be a sequence of strings, not one string")
+    if not isinstance(labels, (list, tuple)):
+        raise TypeError(f"labels must be a list or tuple of strings, not {type(labels).__name__}")
     labels = tuple(labels)
     if not all(isinstance(label, str) for label in labels):
         raise TypeError("labels must be strings")

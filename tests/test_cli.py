@@ -24,7 +24,8 @@ from lamp_entropy import (
     validate_stochastic,
 )
 from lamp_entropy.cli import build_parser, main
-from lamp_entropy.estimators import DEFAULT_LAMP_SWEEP_EXPONENTS, DEFAULT_MARKOV_SWEEP_EXPONENTS
+from lamp_entropy.corpus import DEFAULT_MIN_COUNT
+from lamp_entropy.estimators import DEFAULT_SWEEP_EXPONENTS
 from lamp_entropy.fitting import DEFAULT_EM_MAX_ITER, DEFAULT_EM_TOL
 
 from test_markov import random_ergodic
@@ -300,6 +301,11 @@ MALFORMED_INPUTS = {
     "model-string-labels": (
         "--model", "m.json", b'{"labels": "ab", "rows": [[0.5, 0.5], [0.5, 0.5]], "kernel": [1.0]}'
     ),
+    # A dict's keys would load as the states: labels are a list, in state order.
+    "model-dict-labels": (
+        "--model", "m.json",
+        b'{"labels": {"a": 0, "b": 1}, "rows": [[0.5, 0.5], [0.5, 0.5]], "kernel": [1.0]}',
+    ),
     "matrix-csv-ragged": ("--matrix", "m.csv", b"a,b\n0.5,0.5\n1.0\n"),
     "matrix-csv-non-numeric": ("--matrix", "m.csv", b"a,b\n0.5,half\n1.0,0.0\n"),
     "corpus-not-utf8": ("--input", "c.lines", b"a b \xff a b\n"),
@@ -325,7 +331,9 @@ def test_malformed_input_file_is_one_json_error(tmp_path, capsys, case):
     assert MALFORMED_INPUTS[case][1] in err["message"]
 
 
-@pytest.mark.parametrize("case", ["model-without-kernel", "corpus-not-utf8", "model-string-labels"])
+@pytest.mark.parametrize(
+    "case", ["model-without-kernel", "corpus-not-utf8", "model-string-labels", "model-dict-labels"]
+)
 def test_module_entry_point_exits_1_with_one_json_line(tmp_path, case):
     argv = [str(a) for a in malformed_argv(tmp_path, case)]
     env = {**os.environ, "PYTHONPATH": str(Path(lamp_entropy.__file__).parents[1])}
@@ -342,8 +350,8 @@ def test_cli_defaults_are_the_library_defaults(tmp_path, cycle_corpus):
     for argv in (["fit", "--k", "2"], ["entropy", "--method", "lamp"], ["sweep"]):
         args = parser.parse_args([*argv, "--input", "c", "--output", "o"])
         assert (args.max_iter, args.tol) == (DEFAULT_EM_MAX_ITER, DEFAULT_EM_TOL)
-    for kind, exponents in (("markov", DEFAULT_MARKOV_SWEEP_EXPONENTS),
-                            ("lamp", DEFAULT_LAMP_SWEEP_EXPONENTS)):
+        assert (args.min_count, args.rare_token) == (DEFAULT_MIN_COUNT, DEFAULT_RARE_TOKEN)
+    for kind, exponents in DEFAULT_SWEEP_EXPONENTS.items():
         out = tmp_path / f"{kind}.csv"
         code = run(["sweep", "--input", cycle_corpus, "--min-count", 1, "--model-kind", kind,
                     "--k", 1, "--max-iter", 2, "--output", out])

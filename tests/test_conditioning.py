@@ -280,6 +280,11 @@ class TestApplyConditioning:
         assert report["excluded"] == 0
         assert (report["n_before"], report["n_after"]) == (2, 3)
 
+    def test_unknown_strategy(self):
+        P = validate_stochastic([[1.0]], ["a"])
+        with pytest.raises(TypeError, match="unknown conditioning strategy"):
+            apply_conditioning(P, "induced")
+
 
 def _oracle_induced_law(rows, i: int):
     """The induced chain at p = 2**-i and its stationary law, in mpmath.

@@ -109,6 +109,8 @@ class TestReplaceRare:
         cleaned, replaced = replace_rare(corpus, 1, "UNK")
         assert cleaned.sequences == corpus.sequences
         assert replaced == frozenset()
+        with pytest.raises(ValueError, match="min_count"):
+            replace_rare(corpus, 0, "UNK")
 
     def test_all_rare_leaves_runs(self):
         corpus = SequenceCorpus.from_sequences([["a", "b", "c"]])
@@ -180,7 +182,8 @@ class TestEncodedCorpus:
 
     @pytest.mark.parametrize(
         "tokens, offsets",
-        [([0, 1], [0, 1]), ([0, 1], [1, 2]), ([0, 1], [0, 2, 1, 2]), ([0, 2], [0, 2]), ([-1], [0, 1])],
+        [([0, 1], [0, 1]), ([0, 1], [1, 2]), ([0, 1], [0, 2, 1, 2]), ([0, 2], [0, 2]), ([-1], [0, 1]),
+         ([[0, 1]], [0, 2])],
     )
     def test_malformed_arrays_rejected(self, tokens, offsets):
         vocab = SequenceCorpus.from_sequences(["ab"]).vocabulary

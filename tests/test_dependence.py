@@ -40,6 +40,8 @@ class TestContingencyTable:
     def test_lag_too_large(self):
         with pytest.raises(LagTooLargeError):
             contingency_table(["a"], 1)
+        with pytest.raises(ValueError, match="lag must"):
+            contingency_table(["a", "b"], -1)
 
 
 def exact_cramers_v(counts) -> tuple[float, bool]:
@@ -174,6 +176,10 @@ class TestDependencyProfile:
     def test_max_lag_validation(self):
         with pytest.raises(LagTooLargeError):
             dependency_profile(["a", "b"], 5)
+        with pytest.raises(ValueError, match="max_lag"):
+            dependency_profile(["a", "b"], 0)
+        with pytest.raises(ValueError, match="max_lag"):
+            corpus_dependency_profile(SequenceCorpus.from_sequences([["a", "b"]]), 0)
 
     def test_equals_one_sequence_corpus_and_per_lag_tables(self):
         rng = np.random.default_rng(57)

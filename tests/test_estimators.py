@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lamp_entropy import (
+    EmptyCorpusError,
     EmptySequenceError,
     EstimatorMethod,
     Induced,
@@ -38,7 +39,7 @@ from lamp_entropy import (
     validate_stochastic,
     write_sweep_csv,
 )
-from lamp_entropy.estimators import read_sweep_csv
+from lamp_entropy.estimators import DEFAULT_SWEEP_EXPONENTS, read_sweep_csv
 
 from test_markov import random_ergodic
 
@@ -72,6 +73,10 @@ class TestShannonEntropy:
     def test_rejects_non_distributions(self):
         with pytest.raises(NotADistributionError):
             shannon_entropy([0.5, 0.6])
+        with pytest.raises(NotADistributionError, match="non-empty 1-D"):
+            shannon_entropy([])
+        with pytest.raises(NotADistributionError, match="non-empty 1-D"):
+            shannon_entropy([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(NotADistributionError):
             shannon_entropy([1.5, -0.5])
 
@@ -101,6 +106,9 @@ class TestEmpiricalEstimates:
     def test_sequence_level_constant_corpus(self):
         corpus = SequenceCorpus.from_sequences([["a", "a"], ["a"]])
         assert sequence_level_estimate(corpus).bits_per_symbol == 0.0
+        empty = SequenceCorpus([], [0, 0, 0], corpus.vocabulary)
+        with pytest.raises(EmptyCorpusError):
+            sequence_level_estimate(empty)
 
     def test_sequence_level_uniform_coverage(self):
         corpus = SequenceCorpus.from_sequences([["a", "b", "c", "d"]])
@@ -395,6 +403,17 @@ def test_sweep_rejects_empty_exponent_range():
         sweep_p_artificial(corpus, kind="lamp")  # k missing
     with pytest.raises(ValueError):
         sweep_p_artificial(corpus, kind="nonsense")
+    # The range is checked before the fit: EM on a one-token sequence would raise TooShortError.
+    short = SequenceCorpus.from_sequences([["a"]])
+    with pytest.raises(ValueError, match="exponent range is empty"):
+        sweep_p_artificial(short, kind="lamp", k=1, exponents=range(5, 1))
+
+
+@pytest.mark.parametrize("kind", list(DEFAULT_SWEEP_EXPONENTS))
+def test_sweep_default_exponents_come_from_the_table(kind):
+    corpus = SequenceCorpus.from_sequences([["a", "b", "a", "c"] * 20])
+    result = sweep_p_artificial(corpus, kind=kind, k=1, max_iter=2)
+    assert result.exponents == tuple(DEFAULT_SWEEP_EXPONENTS[kind])
 
 
 def test_report_json_shape():

@@ -194,6 +194,8 @@ class TestFitFirstOrder:
         corpus = SequenceCorpus.from_sequences([["a", "b", "a", "b"]])
         P = fit_first_order(corpus, smoothing=1e9)
         assert np.abs(P.rows - 0.5).max() < 1e-6
+        with pytest.raises(ValueError, match="smoothing"):
+            fit_first_order(corpus, smoothing=-1e-9)
 
     def test_unseen_source_gets_uniform_row(self):
         # b never appears as a source.
@@ -308,6 +310,12 @@ class TestFitLampEm:
         identity = validate_stochastic([[1.0, 0.0], [0.0, 1.0]], ["a", "b"])
         with pytest.raises(DegenerateInitError):
             fit_lamp_em(corpus, k=1, init=(KernelDistribution.point_mass(1), identity))
+        # An init of another order, or over another vocabulary, fits nothing.
+        with pytest.raises(ValueError, match="order 2, expected 1"):
+            fit_lamp_em(corpus, k=1, init=(KernelDistribution.uniform(2), identity))
+        swapped = validate_stochastic([[1.0, 0.0], [0.0, 1.0]], ["b", "a"])
+        with pytest.raises(ValueError, match="vocabulary"):
+            fit_lamp_em(corpus, k=1, init=(KernelDistribution.point_mass(1), swapped))
 
     def test_short_sequence_rejected(self):
         corpus = SequenceCorpus.from_sequences([["a", "b"], ["a"]])
@@ -319,6 +327,10 @@ class TestFitLampEm:
         corpus = SequenceCorpus.from_sequences([["a", "b", "a"]])
         with pytest.raises(ValueError, match="tol"):
             fit_lamp_em(corpus, k=1, tol=float("nan"))
+        with pytest.raises(ValueError, match="k must"):
+            fit_lamp_em(corpus, k=0)
+        with pytest.raises(ValueError, match="max_iter"):
+            fit_lamp_em(corpus, k=1, max_iter=0)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(33)

@@ -98,6 +98,17 @@ class TestKernelDistribution:
         with pytest.raises(RowSumError):
             KernelDistribution([0.5, 0.6])
         assert KernelDistribution([0.25, 0.75]).k == 2
+        for weights in ([], [[1.0]]):
+            with pytest.raises(ValueError, match="non-empty 1-D"):
+                KernelDistribution(weights)
+        for build, args, message in (
+            (KernelDistribution.point_mass, (0,), "lag must"),
+            (KernelDistribution.uniform, (0,), "k must"),
+            (KernelDistribution.geometric, (0,), "k must"),
+            (KernelDistribution.geometric, (3, 1.0), "ratio"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build(*args)
 
     @pytest.mark.parametrize("weights", [[float("nan"), 1.0], [float("inf"), 0.0]])
     def test_non_finite_rejected(self, weights):
@@ -312,6 +323,10 @@ class TestLogLoss:
         model = LampModel(symmetric_chain, KernelDistribution.point_mass(1))
         with pytest.raises(TooShortError):
             log_loss(model, ["a", "b"], burn_in=1)
+        with pytest.raises(TooShortError):
+            step_log2_probs(model, ["a"])
+        with pytest.raises(ValueError, match="burn_in"):
+            log_loss(model, ["a", "b", "a"], burn_in=-1)
 
     def test_zero_probability_event(self):
         P = validate_stochastic([[0.0, 1.0], [1.0, 0.0]], ["a", "b"])

@@ -20,6 +20,7 @@ from lamp_entropy import (
     StateSpace,
     StationaryDistribution,
     TransitionMatrix,
+    UnknownTokenError,
     entropy_rate,
     is_irreducible,
     load_matrix_csv,
@@ -89,6 +90,10 @@ class TestValidateStochastic:
     def test_single_state(self):
         P = validate_stochastic([[1.0]], ["a"])
         assert P.n == 1
+        with pytest.raises(ValueError, match="at least one label"):
+            StateSpace(())
+        with pytest.raises(UnknownTokenError):
+            P.states.index_of("b")
 
     def test_row_sum_violation(self):
         with pytest.raises(RowSumError):
@@ -97,6 +102,8 @@ class TestValidateStochastic:
     def test_non_square(self, tmp_path):
         with pytest.raises(NonSquareError):
             validate_stochastic([[0.5, 0.5]], ["a"])
+        with pytest.raises(NonSquareError):
+            TransitionMatrix(StateSpace(("a",)), [[0.5, 0.5]])
         path = tmp_path / "m.csv"
         path.write_text("", encoding="utf-8")
         with pytest.raises(NonSquareError):
@@ -105,6 +112,8 @@ class TestValidateStochastic:
     def test_label_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             validate_stochastic([[1.0]], ["a", "b"])
+        with pytest.raises(DimensionMismatchError):
+            StationaryDistribution(StateSpace(("a", "b")), [1.0])
 
     def test_negative_entry(self):
         with pytest.raises(NegativeEntryError):
@@ -116,7 +125,8 @@ class TestValidateStochastic:
 
     def test_labels_must_be_strings(self):
         # A string is no sequence of labels: tuple("ab") would be ("a", "b").
-        for labels in (["a", 1], "ab"):
+        # A dict would give its keys, and a set's order follows the hash seed.
+        for labels in (["a", 1], "ab", {"a": 0, "b": 1}, {"a", "b"}):
             with pytest.raises(TypeError):
                 validate_stochastic([[0.5, 0.5], [1.0, 0.0]], labels)
 
