@@ -53,12 +53,11 @@ for stage in stages:
           f"N={stage['N']:6d} vocab={stage['vocab']}{extra}")
 
 print()
-info = {"min_count": 10, "rare_token": "<other>"}
 reports = [
-    sequence_level_estimate(cleaned, preprocessing=info),
-    path_level_estimate(cleaned, preprocessing=info),
-    markov_plugin_estimate(cleaned, Induced(2.0**-15), preprocessing=info),
-    lamp_plugin_estimate(cleaned, 3, Induced(2.0**-15), preprocessing=info),
+    sequence_level_estimate(cleaned),
+    path_level_estimate(cleaned),
+    markov_plugin_estimate(cleaned, Induced(2.0**-15)),
+    lamp_plugin_estimate(cleaned, 3, Induced(2.0**-15)),
 ]
 print(f"{'estimator':28s} {'bits/symbol':>12s}")
 for report in reports:

@@ -20,6 +20,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -278,25 +279,19 @@ def _cmd_entropy(args, config: dict) -> None:
     conditioning = None if args.method in ("sequence-level", "path-level") else _conditioning(args)
     corpus, info = _preprocessed_corpus(args)
     if args.method == "sequence-level":
-        report = sequence_level_estimate(corpus, preprocessing=info)
+        report = sequence_level_estimate(corpus)
     elif args.method == "path-level":
-        report = path_level_estimate(corpus, preprocessing=info)
+        report = path_level_estimate(corpus)
     elif args.method == "stationary":
-        report = stationary_distribution_estimate(
-            fit_first_order(corpus, smoothing=0.0), conditioning, preprocessing=info
-        )
+        fitted = fit_first_order(corpus, smoothing=0.0)
+        report = stationary_distribution_estimate(fitted, conditioning)
     elif args.method == "markov":
-        report = markov_plugin_estimate(corpus, conditioning, preprocessing=info)
+        report = markov_plugin_estimate(corpus, conditioning)
     else:
         report = lamp_plugin_estimate(
-            corpus,
-            args.k,
-            conditioning,
-            max_iter=args.max_iter,
-            tol=args.tol,
-            preprocessing=info,
+            corpus, args.k, conditioning, max_iter=args.max_iter, tol=args.tol
         )
-    _write_json(args.output, report.to_json_dict(), config)
+    _write_json(args.output, replace(report, preprocessing=info).to_json_dict(), config)
     print(f"{report.method.value}: {report.bits_per_symbol:.6f} bits/symbol")
 
 

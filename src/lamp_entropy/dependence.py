@@ -8,7 +8,6 @@ without assigning any ordinal meaning to the symbols.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -17,6 +16,7 @@ import numpy as np
 
 from .corpus import SequenceCorpus, lagged_pair_counts
 from .errors import LagTooLargeError
+from .markov import write_csv
 
 _SPLITTER = 2.0**27 + 1
 
@@ -145,10 +145,5 @@ def corpus_dependency_profile(
 
 def write_profile_csv(profile, path) -> None:
     """Profile as CSV with columns lag, cramers_v, degenerate_flag."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lag", "cramers_v", "degenerate_flag"])
-        for point in profile:
-            writer.writerow(
-                [point.lag, repr(point.cramers_v), "true" if point.degenerate else "false"]
-            )
+    rows = [(p.lag, p.cramers_v, "true" if p.degenerate else "false") for p in profile]
+    write_csv(path, ["lag", "cramers_v", "degenerate_flag"], rows)

@@ -8,7 +8,8 @@ matrix to be irreducible; the strategy (:class:`LargestCC` or
 conditions one fitted matrix at ``p = 2**-i`` over a range of exponents
 in one call, which factors each closed class once for all of them (a
 series in ``p``), and looks for the plateau where the estimate
-stabilises.
+stabilises. How the corpus was cleaned is recorded by the run that
+cleaned it, not by the estimators.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .corpus import SequenceCorpus
 from .errors import EmptyCorpusError, EmptySequenceError, NotADistributionError
 from .fitting import DEFAULT_EM_MAX_ITER, DEFAULT_EM_TOL, fit_first_order, fit_lamp_em
 from .lamp import KernelDistribution
-from .markov import TransitionMatrix, _check_probabilities, stationary_distribution
+from .markov import TransitionMatrix, _check_probabilities, stationary_distribution, write_csv
 
 DEFAULT_SWEEP_EXPONENTS = {"markov": range(1, 26), "lamp": range(1, 51)}
 DEFAULT_PLATEAU_REL_TOL = 1e-3
@@ -43,7 +44,7 @@ class EstimatorMethod(str, Enum):
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """An entropy estimate in bits per symbol, with its provenance."""
+    """An entropy estimate in bits per symbol; whoever cleaned the corpus sets ``preprocessing``."""
 
     method: EstimatorMethod
     bits_per_symbol: float
@@ -78,25 +79,19 @@ def shannon_entropy(dist) -> float:
     return value if value > 0.0 else 0.0
 
 
-def sequence_level_estimate(
-    corpus: SequenceCorpus, preprocessing: dict | None = None
-) -> EntropyReport:
+def sequence_level_estimate(corpus: SequenceCorpus) -> EntropyReport:
     """Entropy of the token distribution pooled across all sequences."""
     counts = np.bincount(corpus.tokens, minlength=corpus.vocabulary.n)
     total = counts.sum()
     if total == 0:
         raise EmptyCorpusError("corpus contains no tokens")
-    return EntropyReport(
-        EstimatorMethod.SEQUENCE_LEVEL,
-        shannon_entropy(counts / total),
-        preprocessing=preprocessing,
-    )
+    return EntropyReport(EstimatorMethod.SEQUENCE_LEVEL, shannon_entropy(counts / total))
 
 
-def path_level_estimate(
-    corpus: SequenceCorpus, preprocessing: dict | None = None
-) -> EntropyReport:
+def path_level_estimate(corpus: SequenceCorpus) -> EntropyReport:
     """Per-sequence frequency entropy, averaged with equal weight per sequence."""
+    if corpus.n_sequences == 0:
+        raise EmptyCorpusError("corpus contains no tokens")
     values = []
     bounds = corpus.offsets.tolist()
     for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
@@ -104,17 +99,11 @@ def path_level_estimate(
             raise EmptySequenceError(f"sequence {i} is empty")
         counts = np.bincount(corpus.tokens[a:b])
         values.append(shannon_entropy(counts / counts.sum()))
-    return EntropyReport(
-        EstimatorMethod.PATH_LEVEL,
-        float(np.mean(values)),
-        preprocessing=preprocessing,
-    )
+    return EntropyReport(EstimatorMethod.PATH_LEVEL, float(np.mean(values)))
 
 
 def stationary_distribution_estimate(
-    matrix: TransitionMatrix,
-    conditioning: LargestCC | Induced | None = None,
-    preprocessing: dict | None = None,
+    matrix: TransitionMatrix, conditioning: LargestCC | Induced | None = None
 ) -> EntropyReport:
     """Entropy of the stationary distribution of a chain after conditioning.
 
@@ -128,27 +117,17 @@ def stationary_distribution_estimate(
     else:
         probs, report = conditioning._law(matrix)
     return EntropyReport(
-        EstimatorMethod.STATIONARY_DISTRIBUTION,
-        shannon_entropy(probs),
-        conditioning=report,
-        preprocessing=preprocessing,
+        EstimatorMethod.STATIONARY_DISTRIBUTION, shannon_entropy(probs), conditioning=report
     )
 
 
 def markov_plugin_estimate(
-    corpus: SequenceCorpus,
-    conditioning: LargestCC | Induced,
-    preprocessing: dict | None = None,
+    corpus: SequenceCorpus, conditioning: LargestCC | Induced
 ) -> EntropyReport:
     """Entropy rate of the first-order fit after conditioning."""
     fitted = fit_first_order(corpus, smoothing=0.0)
     bits, report = conditioning._rate(fitted)
-    return EntropyReport(
-        EstimatorMethod(f"markov_{conditioning.name}"),
-        bits,
-        conditioning=report,
-        preprocessing=preprocessing,
-    )
+    return EntropyReport(EstimatorMethod(f"markov_{conditioning.name}"), bits, conditioning=report)
 
 
 def lamp_plugin_estimate(
@@ -159,7 +138,6 @@ def lamp_plugin_estimate(
     init: tuple[KernelDistribution, TransitionMatrix] | None = None,
     max_iter: int = DEFAULT_EM_MAX_ITER,
     tol: float = DEFAULT_EM_TOL,
-    preprocessing: dict | None = None,
 ) -> EntropyReport:
     """Entropy rate of the fitted lag-mixture's matrix after conditioning.
 
@@ -172,7 +150,6 @@ def lamp_plugin_estimate(
         EstimatorMethod(f"lamp_{conditioning.name}"),
         bits,
         conditioning=report,
-        preprocessing=preprocessing,
         details={
             "kernel": fit.model.kernel.weights.tolist(),
             "em_iterations": fit.iterations,
@@ -250,11 +227,9 @@ def detect_plateau(
 
 def write_sweep_csv(sweep: SweepResult, path) -> None:
     """Curve data as CSV with columns i, p, raw_bits, normalized."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "p", "raw_bits", "normalized"])
-        for i, raw, norm in zip(sweep.exponents, sweep.raw, sweep.normalized):
-            writer.writerow([i, repr(2.0**-i), repr(raw), repr(norm)])
+    p = [2.0**-i for i in sweep.exponents]
+    rows = zip(sweep.exponents, p, sweep.raw, sweep.normalized)
+    write_csv(path, ["i", "p", "raw_bits", "normalized"], rows)
 
 
 def read_sweep_csv(path) -> SweepResult:

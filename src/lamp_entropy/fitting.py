@@ -116,7 +116,7 @@ def fit_lamp_em(
     Parameters
     ----------
     corpus : SequenceCorpus
-        Training data; every sequence must hold at least two tokens.
+        Training data: at least one sequence, each of at least two tokens.
     k : int
         Kernel order (largest backward lag).
     init : optional (kernel, matrix) pair
@@ -136,6 +136,8 @@ def fit_lamp_em(
         raise TooShortError("every sequence must hold at least two tokens")
     n = corpus.vocabulary.n
     total_positions = tokens.shape[0] - lengths.shape[0]
+    if total_positions == 0:
+        raise EmptyCorpusError("corpus contains no transitions to fit")
 
     sources, targets, multiplicity = _distinct_patterns(tokens, offsets, k, n)
     # Rounds run lag-major, on (k, P) arrays: a lag is one contiguous row.

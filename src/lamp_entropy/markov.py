@@ -4,7 +4,8 @@ Transition matrices are validated, immutable, row-stochastic arrays.
 Every stationary law and every rate's ``x(p)·h`` comes from one
 certified solver per block of the SCC condensation (``_Blocks``); the
 entropy rate is reported in bits per symbol throughout. Every JSON
-artifact of the package is written by :func:`encode_json`.
+artifact of the package is written by :func:`encode_json`, and every
+CSV artifact by :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -690,6 +691,14 @@ def write_json(doc, path) -> str:
     return text
 
 
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as CSV, each float by ``str``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _encode(value, indent: str) -> str:
     inner = indent + "  "
     if isinstance(value, dict):
@@ -749,11 +758,7 @@ def load_matrix_json(path) -> TransitionMatrix:
 
 def save_matrix_csv(matrix: TransitionMatrix, path) -> None:
     """Dense CSV: a header row of labels, then one probability row per state."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(matrix.labels)
-        for row in matrix.rows:
-            writer.writerow([repr(x) for x in row.tolist()])
+    write_csv(path, matrix.labels, (row.tolist() for row in matrix.rows))
 
 
 def load_matrix_csv(path) -> TransitionMatrix:

@@ -1,6 +1,7 @@
 import gc
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,10 @@ class TestEmpiricalEstimates:
         corpus = SequenceCorpus.from_sequences([["a"], []])
         with pytest.raises(EmptySequenceError):
             path_level_estimate(corpus)
+        # A mean over no sequences would be NaN; sequence level raises here too.
+        none = SequenceCorpus(np.array([], np.int32), np.array([0]), corpus.vocabulary)
+        with pytest.raises(EmptyCorpusError, match="no tokens"):
+            path_level_estimate(none)
 
 
 class TestStationaryDistributionEstimate:
@@ -418,8 +423,9 @@ def test_sweep_default_exponents_come_from_the_table(kind):
 
 def test_report_json_shape():
     corpus = SequenceCorpus.from_sequences([["a", "b"] * 50])
-    report = markov_plugin_estimate(corpus, Induced(0.25), preprocessing={"min_count": 1})
-    doc = report.to_json_dict()
+    report = markov_plugin_estimate(corpus, Induced(0.25))
+    assert report.preprocessing is None
+    doc = replace(report, preprocessing={"min_count": 1}).to_json_dict()
     assert set(doc) == {"method", "bits_per_symbol", "conditioning", "preprocessing", "details"}
     assert doc["method"] == "markov_induced"
     assert doc["conditioning"]["p_artificial"] == 0.25

@@ -321,6 +321,10 @@ class TestFitLampEm:
         corpus = SequenceCorpus.from_sequences([["a", "b"], ["a"]])
         with pytest.raises(TooShortError):
             fit_lamp_em(corpus, k=2)
+        # No sequence at all is no shorter than two tokens, but leaves nothing to fit.
+        empty = SequenceCorpus(np.array([], np.int32), np.array([0]), corpus.vocabulary)
+        with pytest.raises(EmptyCorpusError, match="no transitions to fit"):
+            fit_lamp_em(empty, k=2)
 
     def test_nan_tol_rejected(self):
         # delta < nan is never true, so a NaN tol would run every round unconverged.
@@ -331,6 +335,30 @@ class TestFitLampEm:
             fit_lamp_em(corpus, k=0)
         with pytest.raises(ValueError, match="max_iter"):
             fit_lamp_em(corpus, k=1, max_iter=0)
+
+    def test_trace_scores_the_models_em_returns(self):
+        # Round r's trace entry is the likelihood of the model after r
+        # rounds, as lamp_log_likelihood scores it: EM's merged patterns
+        # and the scorer clamp lags past a sequence's start alike, and
+        # sequences shorter than k take the clamp at most positions.
+        rng = np.random.default_rng(38)
+        model = LampModel(random_ergodic(5, rng), KernelDistribution([0.5, 0.3, 0.2]))
+        lengths = rng.integers(2, 9, size=60)
+        corpus = SequenceCorpus.from_sequences(
+            [simulate_lamp(model, int(length), seed=s) for s, length in enumerate(lengths)]
+        )
+        init_matrix = validate_stochastic(
+            random_ergodic(corpus.vocabulary.n, rng).rows, corpus.vocabulary.labels
+        )
+        init = (KernelDistribution([0.2, 0.3, 0.5]), init_matrix)
+        first = fit_lamp_em(corpus, 3, init=init, max_iter=1).log_likelihood_trace[0]
+        assert first == pytest.approx(
+            lamp_log_likelihood(LampModel(init_matrix, init[0]), corpus), rel=1e-12
+        )
+        for r in range(1, 8):
+            after = fit_lamp_em(corpus, 3, init=init, max_iter=r, tol=0.0).model
+            trace = fit_lamp_em(corpus, 3, init=init, max_iter=r + 1, tol=0.0).log_likelihood_trace
+            assert trace[r] == pytest.approx(lamp_log_likelihood(after, corpus), rel=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(33)
