@@ -243,6 +243,8 @@ def _cmd_simulate(args, config: dict) -> None:
         raise ConfigError("provide exactly one of --model or --matrix")
     if args.steps < 1:
         raise ConfigError("--steps must be >= 1")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.model is not None:
         model = load_model(args.model)
         labels = model.matrix.labels

@@ -113,15 +113,11 @@ def lagged_pair_counts(tokens: np.ndarray, offsets: np.ndarray, n: int, lag: int
     m = max(tokens.shape[0] - lag, 0)
     earlier = tokens[:m]
     later = tokens[lag : lag + m]
-    ends = offsets[1:-1]
-    if lag and ends.shape[0]:
-        # A pair straddles a boundary when a sequence ends within its
-        # lag: the ``lag`` positions before each inner end pair across
-        # it (a sequence shorter than the lag loses all of its pairs).
-        within = np.ones(m, dtype=bool)
-        for q in range(1, lag + 1):
-            before = ends - q
-            within[before[(before >= 0) & (before < m)]] = False
+    if lag and offsets.shape[0] > 2:
+        # Number every token with its sequence: a pair lies within one
+        # sequence when both of its tokens carry the same number.
+        seq = np.repeat(np.arange(offsets.shape[0] - 1, dtype=np.int32), np.diff(offsets))
+        within = seq[:m] == seq[lag : lag + m]
         earlier = earlier[within]
         later = later[within]
     # Codes are combined in int64: n * n can exceed the int32 range.
@@ -146,7 +142,7 @@ def load_sequences(
     :meth:`SequenceCorpus.from_sequences`.
     """
     if fmt == "lines":
-        with open(path, "r", encoding="utf-8") as fh, malformed_file(path):
+        with open(path, "r", encoding="utf-8-sig") as fh, malformed_file(path):
             return SequenceCorpus.from_sequences(filter(None, map(str.split, fh)))
     if fmt == "tsv":
         if group_col is None or item_col is None:
@@ -155,7 +151,7 @@ def load_sequences(
             raise ValueError(f"tsv columns must be >= 0, got {group_col} and {item_col}")
         width = max(group_col, item_col) + 1
         groups: dict[str, list[str]] = {}
-        with open(path, "r", encoding="utf-8") as fh, malformed_file(path):
+        with open(path, "r", encoding="utf-8-sig") as fh, malformed_file(path):
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -235,34 +231,26 @@ def preprocess(
     Every stage works on the codes; no label is read or written. The
     second dedupe removes the adjacent placeholder runs that rare-token
     pooling can create, restoring the no-self-loop guarantee. Returns the
-    cleaned corpus and one report dict per stage (its sequence, token
-    and vocabulary counts; the ``replace_rare`` stage also gives how
-    many labels it pooled).
+    cleaned corpus and one report dict per stage, logged as it is made
+    (its sequence, token and vocabulary counts; the ``replace_rare``
+    stage also gives how many labels it pooled).
     """
     reports = [_stage_report("input", corpus)]
     corpus = dedupe_consecutive(corpus)
     reports.append(_stage_report("dedupe", corpus))
     corpus, replaced = replace_rare(corpus, min_count, rare_token)
-    stage = _stage_report("replace_rare", corpus)
-    stage["replaced"] = len(replaced)
-    reports.append(stage)
+    reports.append({**_stage_report("replace_rare", corpus), "replaced": len(replaced)})
     corpus = dedupe_consecutive(corpus)
     reports.append(_stage_report("dedupe", corpus))
-    for report in reports:
-        logger.info(
-            "preprocess %-12s n_sequences=%d N=%d vocab=%d",
-            report["stage"],
-            report["n_sequences"],
-            report["N"],
-            report["vocab"],
-        )
     return corpus, reports
 
 
 def _stage_report(stage: str, corpus: SequenceCorpus) -> dict:
-    return {
+    report = {
         "stage": stage,
         "n_sequences": corpus.n_sequences,
         "N": corpus.total_tokens,
         "vocab": corpus.vocabulary.n,
     }
+    logger.info("preprocess %-12s n_sequences=%d N=%d vocab=%d", *report.values())
+    return report

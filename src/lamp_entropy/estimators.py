@@ -22,7 +22,7 @@ import numpy as np
 
 from .conditioning import Induced, LargestCC, induced_entropy_rates
 from .corpus import SequenceCorpus
-from .errors import EmptyCorpusError, EmptySequenceError, NotADistributionError
+from .errors import EmptyCorpusError, EmptySequenceError, NotADistributionError, malformed_file
 from .fitting import DEFAULT_EM_MAX_ITER, DEFAULT_EM_TOL, fit_first_order, fit_lamp_em
 from .lamp import KernelDistribution
 from .markov import TransitionMatrix, _check_probabilities, stationary_distribution, write_csv
@@ -233,9 +233,9 @@ def write_sweep_csv(sweep: SweepResult, path) -> None:
 
 
 def read_sweep_csv(path) -> SweepResult:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh, malformed_file(path):
         rows = list(csv.DictReader(fh))
-    exponents = tuple(int(r["i"]) for r in rows)
-    raw = tuple(float(r["raw_bits"]) for r in rows)
-    normalized = tuple(float(r["normalized"]) for r in rows)
-    return SweepResult(exponents, raw, normalized, None)
+        exponents = tuple(int(r["i"]) for r in rows)
+        raw = tuple(float(r["raw_bits"]) for r in rows)
+        normalized = tuple(float(r["normalized"]) for r in rows)
+        return SweepResult(exponents, raw, normalized, None)

@@ -116,7 +116,8 @@ def fit_lamp_em(
     Parameters
     ----------
     corpus : SequenceCorpus
-        Training data: at least one sequence, each of at least two tokens.
+        Training data: at least one sequence, none of them empty. A
+        one-token sequence holds no transition and adds nothing to the fit.
     k : int
         Kernel order (largest backward lag).
     init : optional (kernel, matrix) pair
@@ -132,8 +133,8 @@ def fit_lamp_em(
         raise ValueError("tol must be a number, got nan")
     tokens, offsets = corpus.tokens, corpus.offsets
     lengths = np.diff(offsets)
-    if (lengths < 2).any():
-        raise TooShortError("every sequence must hold at least two tokens")
+    if not lengths.all():
+        raise TooShortError("every sequence must hold at least one token")
     n = corpus.vocabulary.n
     total_positions = tokens.shape[0] - lengths.shape[0]
     if total_positions == 0:

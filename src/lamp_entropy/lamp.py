@@ -19,8 +19,8 @@ from .markov import (
     _BLOCK,
     _check_probabilities,
     _inverse_cdf,
-    _resolve_init,
     _spans,
+    _start,
     _walk,
     TransitionMatrix,
     entropy_rate,
@@ -125,11 +125,7 @@ def simulate_lamp(
     the path's states and labels, about 17 bytes a step, plus one block's
     draws and sources.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    matrix = model.matrix
-    rng = np.random.default_rng(seed)
-    first = _resolve_init(matrix, init, rng)
+    rng, first = _start(model.matrix, n_steps, seed, init)
     [(lag_cum, lag_cols)] = _inverse_cdf(model.kernel.weights)
 
     def blocks():
@@ -140,7 +136,7 @@ def simulate_lamp(
             sources = np.maximum(np.arange(a + 1, b + 1) - (lag_idx + 1), 0)
             yield sources.tolist(), u[:, 1].tolist()
 
-    return _walk(matrix, first, blocks())
+    return _walk(model.matrix, first, blocks())
 
 
 def lamp_entropy_rate(model: LampModel) -> float:
@@ -285,6 +281,6 @@ def save_model(model: LampModel, path) -> str:
 
 def load_model(path) -> LampModel:
     with malformed_file(path):
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         matrix = validate_stochastic(doc["rows"], doc["labels"])
         return LampModel(matrix, KernelDistribution(np.asarray(doc["kernel"], dtype=float)))

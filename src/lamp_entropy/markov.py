@@ -589,10 +589,7 @@ def simulate_markov(
     depend on the block length; the call holds the path's states and
     labels, about 17 bytes a step, plus one block's draws.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    rng = np.random.default_rng(seed)
-    first = _resolve_init(matrix, init, rng)
+    rng, first = _start(matrix, n_steps, seed, init)
     blocks = ((range(a, b), rng.random(b - a).tolist()) for a, b in _spans(n_steps - 1))
     return _walk(matrix, first, blocks)
 
@@ -627,18 +624,23 @@ def _walk(matrix: TransitionMatrix, first: int, blocks) -> list[str]:
     return matrix.states.decode(states)
 
 
-def _resolve_init(matrix: TransitionMatrix, init, rng) -> int:
+def _start(matrix: TransitionMatrix, n_steps: int, seed, init) -> tuple[np.random.Generator, int]:
+    """The generator and first state of both samplers' paths: state
+    ``init`` (a label or an index), or else one stationary draw."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    rng = np.random.default_rng(seed)
     if init is None:
         [(cum, cols)] = _inverse_cdf(stationary_distribution(matrix).probs)
-        return int(cols[np.searchsorted(cum, rng.random(), side="left")])
+        return rng, int(cols[np.searchsorted(cum, rng.random(), side="left")])
     if isinstance(init, str):
         if init not in matrix.states:
             raise InvalidInitStateError(f"no state labelled {init!r}")
-        return matrix.states.index_of(init)
+        return rng, matrix.states.index_of(init)
     idx = int(init)
     if not 0 <= idx < matrix.n:
         raise InvalidInitStateError(f"state index {idx} out of range for n={matrix.n}")
-    return idx
+    return rng, idx
 
 
 def _inverse_cdf(probs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -752,7 +754,7 @@ def save_matrix_json(matrix: TransitionMatrix, path) -> None:
 
 def load_matrix_json(path) -> TransitionMatrix:
     with malformed_file(path):
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         return validate_stochastic(doc["rows"], doc["labels"])
 
 
@@ -762,7 +764,7 @@ def save_matrix_csv(matrix: TransitionMatrix, path) -> None:
 
 
 def load_matrix_csv(path) -> TransitionMatrix:
-    with open(path, "r", encoding="utf-8", newline="") as fh, malformed_file(path):
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh, malformed_file(path):
         reader = csv.reader(fh)
         try:
             labels = next(reader)

@@ -164,13 +164,21 @@ class TestFit:
 
     def test_fit_short_sequence_fails_cleanly(self, tmp_path, capsys):
         corpus_path = tmp_path / "c.lines"
-        corpus_path.write_text("a b a b a b a b\nc\n", encoding="utf-8")
+        # One-token sequences hold no transition: with nothing else, nothing to fit.
+        corpus_path.write_text("a\nb\na\n", encoding="utf-8")
         code = run(["fit", "--input", corpus_path, "--k", 2, "--min-count", 1,
                     "--output", tmp_path / "m.json"])
         assert code == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "TooShortError"
+        [line] = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "EmptyCorpusError"
         assert err["subcommand"] == "fit"
+        # Beside longer sequences, a one-token sequence is fitted as holding none.
+        corpus_path.write_text("a b a b a b a b\nc\n", encoding="utf-8")
+        for argv in (["fit", "--output", tmp_path / "m.json"],
+                     ["entropy", "--method", "lamp", "--output", tmp_path / "r.json"],
+                     ["sweep", "--model-kind", "lamp", "--output", tmp_path / "s.csv"]):
+            assert run([*argv, "--input", corpus_path, "--k", 2, "--min-count", 1]) == 0, argv
 
 
 class TestEntropy:
@@ -278,10 +286,11 @@ class TestSweep:
         ["sweep", "--i-min", 5, "--i-max", 3, "--output", "s.csv"],
         ["profile", "--format", "tsv", "--max-lag", 1, "--output", "p.csv"],
         ["simulate", "--steps", 0, "--output", "s.lines"],
+        ["simulate", "--steps", 5, "--seed", -1, "--output", "s.lines"],
     ],
     ids=["fit-k", "fit-max-iter", "entropy-k", "sweep-k", "min-count", "max-lag",
          "p-artificial", "tol-nan", "group-col-minus-5", "group-col-minus-1", "item-col-minus-1",
-         "i-min-0", "i-max-below-i-min", "tsv-without-columns", "steps-0"],
+         "i-min-0", "i-max-below-i-min", "tsv-without-columns", "steps-0", "seed-minus-1"],
 )
 def test_invalid_number_rejected_before_loading(tmp_path, capsys, argv):
     # The input does not exist: reading it first would exit 1 with an I/O error.

@@ -1,3 +1,4 @@
+import logging
 from collections import Counter
 
 import numpy as np
@@ -25,11 +26,13 @@ tokens_strategy = st.lists(
 class TestLoadSequences:
     def test_lines(self, tmp_path):
         path = tmp_path / "c.lines"
-        path.write_text("a b a\nc c\n", encoding="utf-8")
-        corpus = load_sequences(path)
-        assert corpus.sequences == (("a", "b", "a"), ("c", "c"))
-        assert corpus.vocabulary.labels == ("a", "b", "c")
-        assert corpus.total_tokens == 5
+        # A UTF-8 byte-order mark is not part of the first token.
+        for text in ("a b a\nc c\n", "\ufeffa b a\nc c\n"):
+            path.write_text(text, encoding="utf-8")
+            corpus = load_sequences(path)
+            assert corpus.sequences == (("a", "b", "a"), ("c", "c"))
+            assert corpus.vocabulary.labels == ("a", "b", "c")
+            assert corpus.total_tokens == 5
         with pytest.raises(ValueError, match="unknown corpus format"):
             load_sequences(path, "csv")
 
@@ -40,8 +43,8 @@ class TestLoadSequences:
 
     def test_tsv_grouping(self, tmp_path):
         path = tmp_path / "c.tsv"
-        # A blank line is skipped.
-        for text in ("u1\tx\nu1\ty\nu2\tx\n", "u1\tx\n\nu1\ty\nu2\tx\n"):
+        # A blank line is skipped; a byte-order mark is not part of the first group.
+        for text in ("u1\tx\nu1\ty\nu2\tx\n", "u1\tx\n\nu1\ty\nu2\tx\n", "\ufeffu1\tx\nu1\ty\nu2\tx\n"):
             path.write_text(text, encoding="utf-8")
             corpus = load_sequences(path, fmt="tsv", group_col=0, item_col=1)
             assert corpus.sequences == (("x", "y"), ("x",))
@@ -148,6 +151,17 @@ class TestPreprocess:
         assert reports[2]["replaced"] == 1
         assert reports[-1]["vocab"] == 3
 
+    def test_stages_are_logged_in_order(self, caplog):
+        corpus = SequenceCorpus.from_sequences([["a", "a", "x", "y", "a"], ["b", "a", "b"]])
+        with caplog.at_level(logging.INFO, logger="lamp_entropy.corpus"):
+            preprocess(corpus, min_count=2, rare_token="UNK")
+        assert [r.getMessage() for r in caplog.records if r.name == "lamp_entropy.corpus"] == [
+            "preprocess input        n_sequences=2 N=8 vocab=4",
+            "preprocess dedupe       n_sequences=2 N=7 vocab=4",
+            "preprocess replace_rare n_sequences=2 N=7 vocab=3",
+            "preprocess dedupe       n_sequences=2 N=6 vocab=3",
+        ]
+
     def test_second_dedupe_removes_placeholder_runs(self):
         corpus = SequenceCorpus.from_sequences([["a", "x", "y", "a"]])
         cleaned, _ = preprocess(corpus, min_count=2, rare_token="UNK")
@@ -214,17 +228,21 @@ class TestEncodedCorpus:
             SequenceCorpus.from_sequences([[], []])
 
     def test_lagged_pairs_skip_boundaries_and_short_sequences(self):
-        seqs = [["a", "b", "c", "a"], ["b"], [], ["c", "a", "b"], ["a", "c"]]
-        corpus = SequenceCorpus.from_sequences(seqs)
-        n = corpus.vocabulary.n
-        for lag in range(5):
-            want = np.zeros((n, n), dtype=np.int64)
-            for seq in seqs:
-                idx = corpus.vocabulary.encode(seq)
-                for t in range(len(idx) - lag):
-                    want[idx[t], idx[t + lag]] += 1
-            got = lagged_pair_counts(corpus.tokens, corpus.offsets, n, lag)
-            assert np.array_equal(got, want), lag
+        few = [["a", "b", "c", "a"], ["b"], [], ["c", "a", "b"], ["a", "c"]]
+        rng = np.random.default_rng(3)
+        many = few + [list(rng.choice(list("abcdef"), rng.integers(0, 10))) for _ in range(400)]
+        for seqs in (few, many):
+            corpus = SequenceCorpus.from_sequences(seqs)
+            n = corpus.vocabulary.n
+            # Up to lags beyond every sequence's length, where no pair is left.
+            for lag in range(max(map(len, seqs)) + 3):
+                want = np.zeros((n, n), dtype=np.int64)
+                for seq in seqs:
+                    idx = corpus.vocabulary.encode(seq)
+                    for t in range(len(idx) - lag):
+                        want[idx[t], idx[t + lag]] += 1
+                got = lagged_pair_counts(corpus.tokens, corpus.offsets, n, lag)
+                assert np.array_equal(got, want), (len(seqs), lag)
 
 
 def reference_dedupe(seqs):

@@ -1,3 +1,4 @@
+import codecs
 import gc
 import sys
 import warnings
@@ -15,6 +16,7 @@ from lamp_entropy import (
     KernelDistribution,
     LampModel,
     LargestCC,
+    MalformedFileError,
     NegativeEntryError,
     NotADistributionError,
     NotIrreducibleError,
@@ -347,6 +349,23 @@ class TestSweep:
         assert unraisable == []
         assert back.raw == raw
 
+    def test_read_sweep_csv_reads_past_a_byte_order_mark(self, tmp_path):
+        raw = (3.0, 2.5, 2.4)
+        sweep = SweepResult((1, 2, 3), raw, tuple(minmax_normalize(raw)), None)
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(sweep, path)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert read_sweep_csv(path) == sweep
+
+    def test_read_sweep_csv_names_a_malformed_file(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("i,p,raw_bits\n1,0.5,3.0\n", encoding="utf-8")
+        with pytest.raises(MalformedFileError, match="sweep.csv.*normalized"):
+            read_sweep_csv(path)
+        path.write_text("i,p,raw_bits,normalized\n1,0.5,three,1.0\n", encoding="utf-8")
+        with pytest.raises(MalformedFileError, match="sweep.csv"):
+            read_sweep_csv(path)
+
 
 class TestDetectPlateau:
     def test_flat_tail_returns_largest_exponent(self):
@@ -408,7 +427,7 @@ def test_sweep_rejects_empty_exponent_range():
         sweep_p_artificial(corpus, kind="lamp")  # k missing
     with pytest.raises(ValueError):
         sweep_p_artificial(corpus, kind="nonsense")
-    # The range is checked before the fit: EM on a one-token sequence would raise TooShortError.
+    # The range is checked before the fit: EM on a corpus of one token would find nothing to fit.
     short = SequenceCorpus.from_sequences([["a"]])
     with pytest.raises(ValueError, match="exponent range is empty"):
         sweep_p_artificial(short, kind="lamp", k=1, exponents=range(5, 1))

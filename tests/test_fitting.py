@@ -318,10 +318,25 @@ class TestFitLampEm:
             fit_lamp_em(corpus, k=1, init=(KernelDistribution.point_mass(1), swapped))
 
     def test_short_sequence_rejected(self):
+        # A one-token sequence holds no transition: the fit is the fit without it.
         corpus = SequenceCorpus.from_sequences([["a", "b"], ["a"]])
-        with pytest.raises(TooShortError):
-            fit_lamp_em(corpus, k=2)
-        # No sequence at all is no shorter than two tokens, but leaves nothing to fit.
+        alone = SequenceCorpus.from_sequences([["a", "b"]])
+        assert fit_digest(fit_lamp_em(corpus, k=2)) == fit_digest(fit_lamp_em(alone, k=2))
+        rng = np.random.default_rng(8)
+        seqs = [list(rng.choice(list("abcd"), rng.integers(2, 15))) for _ in range(30)]
+        padded = seqs[:10] + [["c"], ["a"]] + seqs[10:] + [["d"]]
+        for k in (1, 3):
+            fits = [
+                fit_lamp_em(SequenceCorpus.from_sequences(c), k, max_iter=30, tol=0.0)
+                for c in (padded, seqs)
+            ]
+            assert fits[0].model.labels == fits[1].model.labels
+            assert fit_digest(fits[0]) == fit_digest(fits[1])
+        # An empty sequence is still rejected.
+        gap = SequenceCorpus(np.array([0, 1], np.int32), np.array([0, 2, 2]), corpus.vocabulary)
+        with pytest.raises(TooShortError, match="at least one token"):
+            fit_lamp_em(gap, k=2)
+        # No sequence at all leaves nothing to fit.
         empty = SequenceCorpus(np.array([], np.int32), np.array([0]), corpus.vocabulary)
         with pytest.raises(EmptyCorpusError, match="no transitions to fit"):
             fit_lamp_em(empty, k=2)

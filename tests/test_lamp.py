@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import math
@@ -519,6 +520,12 @@ def test_model_json_roundtrip(tmp_path):
     assert back.labels == model.labels
     assert np.allclose(back.matrix.rows, model.matrix.rows, atol=1e-15)
     assert np.allclose(back.kernel.weights, model.kernel.weights, atol=1e-15)
+    # A UTF-8 byte-order mark is read past.
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    with_bom = load_model(path)
+    assert with_bom.labels == back.labels
+    assert np.array_equal(with_bom.matrix.rows, back.matrix.rows)
+    assert np.array_equal(with_bom.kernel.weights, back.kernel.weights)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import codecs
 import json
 import tracemalloc
 
@@ -421,6 +422,10 @@ class TestMatrixIO:
         back = load_matrix_json(path)
         assert back.labels == P.labels
         assert np.allclose(back.rows, P.rows, atol=1e-15)
+        # A UTF-8 byte-order mark is read past.
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        with_bom = load_matrix_json(path)
+        assert with_bom.labels == P.labels and np.array_equal(with_bom.rows, back.rows)
 
     def test_json_with_nan_rejected(self, tmp_path):
         path = tmp_path / "m.json"
@@ -459,6 +464,10 @@ class TestMatrixIO:
         back = load_matrix_csv(path)
         assert back.labels == P.labels
         assert np.array_equal(back.rows, P.rows)
+        # A UTF-8 byte-order mark is not part of the first label.
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        with_bom = load_matrix_csv(path)
+        assert with_bom.labels == P.labels and np.array_equal(with_bom.rows, P.rows)
 
 
 def test_is_irreducible():
