@@ -235,6 +235,8 @@ def write_sweep_csv(sweep: SweepResult, path) -> None:
 def read_sweep_csv(path) -> SweepResult:
     with open(path, "r", encoding="utf-8-sig", newline="") as fh, malformed_file(path):
         rows = list(csv.DictReader(fh))
+        if not rows:
+            raise ValueError("no sweep points")
         exponents = tuple(int(r["i"]) for r in rows)
         raw = tuple(float(r["raw_bits"]) for r in rows)
         normalized = tuple(float(r["normalized"]) for r in rows)

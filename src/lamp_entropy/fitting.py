@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .corpus import SequenceCorpus, lagged_pair_counts
-from .errors import DegenerateInitError, EmptyCorpusError, TooShortError, UnknownTokenError
+from .errors import DegenerateInitError, EmptyCorpusError, UnknownTokenError
 from .lamp import KernelDistribution, LampModel, _step_scores, model_to_json_dict
 from .markov import StateSpace, TransitionMatrix
 
@@ -106,18 +106,19 @@ def fit_lamp_em(
     distinct (source, target) cells those rows touch. A round therefore
     costs time in the number of distinct patterns rather than
     positions; a long path over few states has few of them. The
-    patterns are found with one in-place pass per lag and one sort of
-    their packed keys. A round holds its ``(k, P)`` arrays lag-major,
-    so that every sum over lags or over patterns adds whole contiguous
-    rows. Every sum keeps the order of the one-row-per-pattern
-    ``(P, k)`` arithmetic, so every fitted number is the same to the
-    bit.
+    patterns are packed into int64 keys with one in-place pass per lag;
+    one sort of the key values finds the distinct ones, and each
+    distinct key is decoded back into its int64 target and sources. A
+    round holds its ``(k, P)`` arrays lag-major, so that every sum over
+    lags or over patterns adds whole contiguous rows. Every sum keeps
+    the order of the one-row-per-pattern ``(P, k)`` arithmetic, so
+    every fitted number is the same to the bit.
 
     Parameters
     ----------
     corpus : SequenceCorpus
-        Training data: at least one sequence, none of them empty. A
-        one-token sequence holds no transition and adds nothing to the fit.
+        Training data: at least one transition. An empty or one-token
+        sequence holds no transition and adds nothing to the fit.
     k : int
         Kernel order (largest backward lag).
     init : optional (kernel, matrix) pair
@@ -132,11 +133,9 @@ def fit_lamp_em(
     if math.isnan(tol):
         raise ValueError("tol must be a number, got nan")
     tokens, offsets = corpus.tokens, corpus.offsets
-    lengths = np.diff(offsets)
-    if not lengths.all():
-        raise TooShortError("every sequence must hold at least one token")
     n = corpus.vocabulary.n
-    total_positions = tokens.shape[0] - lengths.shape[0]
+    # The first token of each non-empty sequence is not scored.
+    total_positions = tokens.shape[0] - np.count_nonzero(np.diff(offsets))
     if total_positions == 0:
         raise EmptyCorpusError("corpus contains no transitions to fit")
 
@@ -224,29 +223,34 @@ def _distinct_patterns(
     the packed (target, source 1, ..., source k) key.
 
     Every position after the first of its sequence is scored; its source
-    at lag ``q`` is ``q`` steps back, clamped to the sequence start.
-    Every sequence must hold at least one token. Returns ``(sources
-    (P, k), targets (P,), multiplicity (P,))``; the sources are int64, so
-    ``sources * n + target`` cannot overflow.
+    at lag ``q`` is ``q`` steps back, clamped to the sequence start. An
+    empty sequence scores nothing. The key values are sorted once, and
+    each distinct key is decoded back into its target and sources.
+    Returns ``(sources (P, k) int64, targets (P,) int64, multiplicity
+    (P,) float)``; the int64 codes keep ``sources * n + target`` from
+    overflowing.
     """
     starts = offsets[:-1]
+    lengths = np.diff(offsets)
     scored = np.ones(tokens.shape[0], dtype=bool)
-    scored[starts] = False
+    scored[starts[lengths > 0]] = False
     # The positions 1..k-1 steps into their sequence, the only ones whose
     # sources can clamp, and the position of each one's current source.
     into = np.arange(1, k)
-    near = (starts[:, None] + into)[into < np.diff(offsets)[:, None]]
+    near = (starts[:, None] + into)[into < lengths[:, None]]
     source = near.copy()
-    # Pack each position's pattern into one int64, a column at a time and
-    # in place: shift in the token q steps back, then redo the positions
-    # near a sequence start with their clamped source. When the next
-    # column could overflow, renumber the keys densely.
+    # Pack each position's pattern into one int64, base-n digits target
+    # first, a column at a time and in place: shift in the token q steps
+    # back, then redo the positions near a sequence start with their
+    # clamped source. When the next column could overflow, renumber the
+    # keys densely and keep the table to decode them by.
     key = tokens.astype(np.int64)
     bound = n
+    tables = {}
     for q in range(1, k + 1):
         if bound * n > np.iinfo(np.int64).max:
-            uniq, key = np.unique(key, return_inverse=True)
-            bound = uniq.shape[0]
+            tables[q], key = np.unique(key, return_inverse=True)
+            bound = tables[q].shape[0]
         prefix = key[near]
         key *= n
         key[q:] += tokens[:-q]
@@ -254,24 +258,14 @@ def _distinct_patterns(
         source -= scored[source]
         key[near] = prefix * n + tokens[source]
         bound *= n
-    key = key[scored]
-    # Any position stands for its pattern, so an unstable sort will do;
-    # its runs are the patterns in key order.
-    order = np.argsort(key)
-    key = key[order]
-    new_run = np.empty(key.shape, dtype=bool)
-    new_run[:1] = True
-    np.not_equal(key[1:], key[:-1], out=new_run[1:])
-    first = np.flatnonzero(new_run)
-    multiplicity = np.diff(first, append=key.shape[0])
-    at = np.flatnonzero(scored)[order[first]]
-    targets = tokens[at]
-    sources = np.empty((at.shape[0], k), dtype=np.int64)
-    for q in range(k):
-        # One step back, except from the first token of a sequence.
-        at -= scored[at]
-        sources[:, q] = tokens[at]
-    return sources, targets, multiplicity.astype(float)
+    key, multiplicity = np.unique(key[scored], return_counts=True)
+    # Peel the digits off, lag k first, undoing each renumbering.
+    sources = np.empty((key.shape[0], k), dtype=np.int64)
+    for q in range(k, 0, -1):
+        key, sources[:, q - 1] = np.divmod(key, n)
+        if q in tables:
+            key = tables[q][key]
+    return sources, key, multiplicity.astype(float)
 
 
 def lamp_log_likelihood(model: LampModel, corpus: SequenceCorpus) -> float:

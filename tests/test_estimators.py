@@ -3,6 +3,7 @@ import gc
 import sys
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -207,6 +208,14 @@ class TestPluginEstimates:
         assert lamp.bits_per_symbol == markov.bits_per_symbol
         assert lamp.method is EstimatorMethod.LAMP_LARGEST_CC
 
+    def test_plugin_estimates_skip_an_empty_sequence(self):
+        gap = SequenceCorpus.from_sequences([["a", "b", "a", "b"], []])
+        alone = SequenceCorpus.from_sequences([["a", "b", "a", "b"]])
+        for estimate in (markov_plugin_estimate, partial(lamp_plugin_estimate, k=2)):
+            assert estimate(gap, conditioning=LargestCC()) == estimate(
+                alone, conditioning=LargestCC()
+            )
+
     def test_lamp_plugin_recovers_generator(self):
         P = validate_stochastic(
             [[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]], list("abc")
@@ -364,6 +373,18 @@ class TestSweep:
             read_sweep_csv(path)
         path.write_text("i,p,raw_bits,normalized\n1,0.5,three,1.0\n", encoding="utf-8")
         with pytest.raises(MalformedFileError, match="sweep.csv"):
+            read_sweep_csv(path)
+
+    def test_read_sweep_csv_rejects_an_empty_file(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_bytes(b"")
+        with pytest.raises(MalformedFileError, match="sweep.csv.*no sweep points"):
+            read_sweep_csv(path)
+
+    def test_read_sweep_csv_rejects_a_header_only_file(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("i,p,raw_bits,normalized\n", encoding="utf-8")
+        with pytest.raises(MalformedFileError, match="sweep.csv.*no sweep points"):
             read_sweep_csv(path)
 
 

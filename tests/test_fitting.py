@@ -13,7 +13,6 @@ from lamp_entropy import (
     KernelDistribution,
     LampModel,
     SequenceCorpus,
-    TooShortError,
     UnknownTokenError,
     count_transitions,
     fit_first_order,
@@ -118,23 +117,30 @@ def per_position_patterns(sequences, k):
 
 @st.composite
 def pattern_corpora(draw):
-    """(n, k, sequences): many sequences of 2..k+3 codes below n. Many
-    states and a long kernel (64 states and k >= 10, say) make the packed
-    keys too wide for an int64, so they are renumbered."""
+    """(n, k, sequences): up to 40 sequences of 0..k+3 codes below n, at
+    least one of them with a transition. Many states and a long kernel
+    (64 states and k >= 10, say) make the packed keys too wide for an
+    int64, so they are renumbered."""
     n = draw(st.integers(1, 70))
     k = draw(st.integers(1, 13))
-    sequence = st.lists(st.integers(0, n - 1), min_size=2, max_size=k + 3)
-    return n, k, draw(st.lists(sequence, min_size=1, max_size=40))
+    code = st.integers(0, n - 1)
+    sequences = draw(st.lists(st.lists(code, max_size=k + 3), max_size=39))
+    at = draw(st.integers(0, len(sequences)))
+    sequences.insert(at, draw(st.lists(code, min_size=2, max_size=k + 3)))
+    return n, k, sequences
 
 
 # 40 sequences of 2..15 codes below 64, whose keys are renumbered at k >= 10.
 RENUMBERED = [[(7 * i + 3 * j) % 64 for j in range(2 + i % 14)] for i in range(40)]
+# 2**16 states: at k = 8 the keys are renumbered twice, before lags 3 and 6.
+WIDE = [[(40_503 * (5 * i + j)) % 2**16 for j in range(i % 12)] for i in range(40)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(pattern_corpora())
 @example((64, 10, RENUMBERED))
 @example((64, 12, RENUMBERED))
+@example((2**16, 8, WIDE))
 def test_distinct_patterns_match_per_position_count(case):
     n, k, sequences = case
     tokens = np.array([x for seq in sequences for x in seq], dtype=np.int32)
@@ -145,7 +151,8 @@ def test_distinct_patterns_match_per_position_count(case):
     # Distinct, in the order of the packed (target, sources) key.
     assert got == sorted(want)
     assert dict(zip(got, multiplicity.tolist())) == want
-    assert multiplicity.sum() == tokens.shape[0] - len(sequences)
+    assert multiplicity.sum() == tokens.shape[0] - sum(1 for seq in sequences if seq)
+    assert sources.dtype == targets.dtype == np.int64
 
 
 class TestCountTransitions:
@@ -317,14 +324,16 @@ class TestFitLampEm:
         with pytest.raises(ValueError, match="vocabulary"):
             fit_lamp_em(corpus, k=1, init=(KernelDistribution.point_mass(1), swapped))
 
-    def test_short_sequence_rejected(self):
-        # A one-token sequence holds no transition: the fit is the fit without it.
-        corpus = SequenceCorpus.from_sequences([["a", "b"], ["a"]])
-        alone = SequenceCorpus.from_sequences([["a", "b"]])
-        assert fit_digest(fit_lamp_em(corpus, k=2)) == fit_digest(fit_lamp_em(alone, k=2))
+    def test_short_and_empty_sequences_add_nothing(self):
+        # An empty or one-token sequence holds no transition: the fit is
+        # the fit without it.
+        alone = fit_digest(fit_lamp_em(SequenceCorpus.from_sequences([["a", "b"]]), k=2))
+        for seqs in ([["a", "b"], ["a"]], [["a", "b"], []], [[], ["a", "b"], [], ["b"], []]):
+            corpus = SequenceCorpus.from_sequences(seqs)
+            assert fit_digest(fit_lamp_em(corpus, k=2)) == alone
         rng = np.random.default_rng(8)
         seqs = [list(rng.choice(list("abcd"), rng.integers(2, 15))) for _ in range(30)]
-        padded = seqs[:10] + [["c"], ["a"]] + seqs[10:] + [["d"]]
+        padded = [[]] + seqs[:10] + [["c"], [], ["a"]] + seqs[10:] + [["d"], []]
         for k in (1, 3):
             fits = [
                 fit_lamp_em(SequenceCorpus.from_sequences(c), k, max_iter=30, tol=0.0)
@@ -332,10 +341,6 @@ class TestFitLampEm:
             ]
             assert fits[0].model.labels == fits[1].model.labels
             assert fit_digest(fits[0]) == fit_digest(fits[1])
-        # An empty sequence is still rejected.
-        gap = SequenceCorpus(np.array([0, 1], np.int32), np.array([0, 2, 2]), corpus.vocabulary)
-        with pytest.raises(TooShortError, match="at least one token"):
-            fit_lamp_em(gap, k=2)
         # No sequence at all leaves nothing to fit.
         empty = SequenceCorpus(np.array([], np.int32), np.array([0]), corpus.vocabulary)
         with pytest.raises(EmptyCorpusError, match="no transitions to fit"):
