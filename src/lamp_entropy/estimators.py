@@ -181,7 +181,11 @@ def sweep_p_artificial(
         raise ValueError("lamp sweeps need the kernel order k")
     if exponents is None:
         exponents = DEFAULT_SWEEP_EXPONENTS[kind]
-    exponents = tuple(int(i) for i in exponents)
+    exponents = tuple(exponents)
+    for i in exponents:
+        if not isinstance(i, (int, np.integer)):
+            raise ValueError(f"exponents must be integers, got {i!r}")
+    exponents = tuple(map(int, exponents))
     if not exponents:
         raise ValueError("exponent range is empty")
     if kind == "lamp":

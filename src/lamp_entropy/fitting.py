@@ -105,14 +105,9 @@ def fit_lamp_em(
     often the pattern occurs, and maximisation accumulates over the
     distinct (source, target) cells those rows touch. A round therefore
     costs time in the number of distinct patterns rather than
-    positions; a long path over few states has few of them. The
-    patterns are packed into int64 keys with one in-place pass per lag;
-    one sort of the key values finds the distinct ones, and each
-    distinct key is decoded back into its int64 target and sources. A
-    round holds its ``(k, P)`` arrays lag-major, so that every sum over
-    lags or over patterns adds whole contiguous rows. Every sum keeps
-    the order of the one-row-per-pattern ``(P, k)`` arithmetic, so
-    every fitted number is the same to the bit.
+    positions; a long path over few states has few of them. A round
+    holds its ``(k, P)`` arrays lag-major and sums in that order: the
+    weights one lag at a time, the cell masses by one ``bincount``.
 
     Parameters
     ----------
@@ -139,20 +134,12 @@ def fit_lamp_em(
     if total_positions == 0:
         raise EmptyCorpusError("corpus contains no transitions to fit")
 
-    sources, targets, multiplicity = _distinct_patterns(tokens, offsets, k, n)
-    # Rounds run lag-major, on (k, P) arrays: a lag is one contiguous row.
-    cells, cell_of = np.unique(sources.T * n + targets, return_inverse=True)
-    del sources, targets
-    cell_of = cell_of.reshape(k, -1)
-    # Maximisation adds each cell's mass in (pattern, lag) order.
-    cell_of_by_pattern = cell_of.T.ravel()
-    cell_row = cells // n
-
+    cells, em_round = _em_round(tokens, offsets, k, n)
     if init is None:
         weights = np.full(k, 1.0 / k)
-        matrix_rows = _normalise_rows(
+        cell_probs = _normalise_rows(
             lagged_pair_counts(tokens, offsets, n, 1) + DEFAULT_INIT_SMOOTHING
-        )
+        ).ravel()[cells]
     else:
         kernel0, matrix0 = init
         if kernel0.k != k:
@@ -160,17 +147,47 @@ def fit_lamp_em(
         if matrix0.states.labels != corpus.vocabulary.labels:
             raise ValueError("init matrix state space does not match the corpus vocabulary")
         weights = kernel0.weights
-        matrix_rows = matrix0.rows
+        cell_probs = matrix0.rows.ravel()[cells]
 
-    cell_probs = matrix_rows.ravel()[cells]
-    del matrix_rows
-    mixture = np.empty(cell_of.shape)
     trace: list[float] = []
     previous = -np.inf
-    converged = False
-    iteration = 0
     for iteration in range(1, max_iter + 1):
-        np.take(cell_probs, cell_of, out=mixture, mode="clip")
+        log_likelihood, weights, cell_mass, cell_probs = em_round(weights, cell_probs)
+        trace.append(log_likelihood)
+        delta = log_likelihood - previous
+        logger.info("em iter=%d log2_likelihood=%.6f delta=%.3g", iteration, log_likelihood, delta)
+        if delta < tol:
+            break
+        previous = log_likelihood
+
+    # Free the round's patterns before the dense n * n build.
+    del em_round
+    accum = np.zeros(n * n)
+    accum[cells] = cell_mass
+    model = LampModel(
+        TransitionMatrix(corpus.vocabulary, _normalise_rows(accum.reshape(n, n))),
+        KernelDistribution(weights),
+    )
+    return FitReport(model, tuple(trace), iteration, converged=delta < tol)
+
+
+def _em_round(tokens: np.ndarray, offsets: np.ndarray, k: int, n: int):
+    """EM's round over the fixed patterns of the scored positions, and
+    the observed cells it reads, as flat ``source * n + target`` indices.
+
+    The round maps the kernel weights and the cells' probabilities to
+    the log2-likelihood there, the new weights, the cell masses and the
+    new cell probabilities, in new arrays. It keeps no state between calls.
+    """
+    sources, targets, multiplicity = _distinct_patterns(tokens, offsets, k, n)
+    total_positions = multiplicity.sum()
+    # The round's (k, P) arrays are lag-major: a lag is one contiguous row.
+    cells, cell_of = np.unique(sources.T * n + targets, return_inverse=True)
+    cell_of = cell_of.reshape(k, -1)
+    cell_row = cells // n
+
+    def em_round(weights: np.ndarray, cell_probs: np.ndarray):
+        mixture = np.take(cell_probs, cell_of, mode="clip")
         mixture *= weights[:, None]
         totals = mixture.sum(axis=0)
         if (totals <= 0.0).any():
@@ -180,39 +197,21 @@ def fit_lamp_em(
                 "the data requires"
             )
         log_likelihood = float(multiplicity @ np.log2(totals))
-        trace.append(log_likelihood)
-        delta = log_likelihood - previous
-        logger.info("em iter=%d log2_likelihood=%.6f delta=%.3g", iteration, log_likelihood, delta)
-
         # Responsibilities, in place. Dividing before weighting keeps a
         # k=1 responsibility exactly 1.
         mixture /= totals
         mixture *= multiplicity
-        # The last partial sum adds a lag's patterns one after another.
-        weights = np.cumsum(mixture, axis=1)[:, -1] / total_positions
         cell_mass = np.bincount(
-            cell_of_by_pattern, weights=mixture.T.ravel(), minlength=cells.shape[0]
+            cell_of.ravel(), weights=mixture.ravel(), minlength=cells.shape[0]
         )
         row_mass = np.bincount(cell_row, weights=cell_mass, minlength=n)[cell_row]
         # A row with no mass becomes uniform, as in _normalise_rows.
-        cell_probs = np.divide(
+        new_probs = np.divide(
             cell_mass, row_mass, out=np.full_like(cell_mass, 1.0 / n), where=row_mass > 0
         )
+        return log_likelihood, mixture.sum(axis=1) / total_positions, cell_mass, new_probs
 
-        if delta < tol:
-            converged = True
-            break
-        previous = log_likelihood
-
-    # Free the pattern and round arrays before the dense n * n build.
-    del multiplicity, cell_of, cell_of_by_pattern, mixture
-    accum = np.zeros(n * n)
-    accum[cells] = cell_mass
-    model = LampModel(
-        TransitionMatrix(corpus.vocabulary, _normalise_rows(accum.reshape(n, n))),
-        KernelDistribution(weights),
-    )
-    return FitReport(model, tuple(trace), iteration, converged)
+    return cells, em_round
 
 
 def _distinct_patterns(

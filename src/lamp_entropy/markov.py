@@ -637,6 +637,8 @@ def _start(matrix: TransitionMatrix, n_steps: int, seed, init) -> tuple[np.rando
         if init not in matrix.states:
             raise InvalidInitStateError(f"no state labelled {init!r}")
         return rng, matrix.states.index_of(init)
+    if not isinstance(init, (int, np.integer)):
+        raise InvalidInitStateError(f"init must be a label or a state index, got {init!r}")
     idx = int(init)
     if not 0 <= idx < matrix.n:
         raise InvalidInitStateError(f"state index {idx} out of range for n={matrix.n}")

@@ -454,6 +454,18 @@ def test_sweep_rejects_empty_exponent_range():
         sweep_p_artificial(short, kind="lamp", k=1, exponents=range(5, 1))
 
 
+def test_sweep_rejects_fractional_exponents():
+    # int() would sweep 1.5 and 2.7 as the exponents 1 and 2.
+    corpus = SequenceCorpus.from_sequences([["a", "b", "a", "c"] * 20])
+    with pytest.raises(ValueError, match="1.5"):
+        sweep_p_artificial(corpus, "markov", exponents=[1.5, 2.7])
+    with pytest.raises(ValueError, match="2.7"):
+        sweep_p_artificial(corpus, "markov", exponents=[1, 2.7])
+    sweep = sweep_p_artificial(corpus, "markov", exponents=np.arange(1, 4))
+    assert sweep == sweep_p_artificial(corpus, "markov", exponents=[1, 2, 3])
+    assert [type(i) for i in sweep.exponents] == [int] * 3
+
+
 @pytest.mark.parametrize("kind", list(DEFAULT_SWEEP_EXPONENTS))
 def test_sweep_default_exponents_come_from_the_table(kind):
     corpus = SequenceCorpus.from_sequences([["a", "b", "a", "c"] * 20])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lamp_entropy import (
     EmptyHistoryError,
+    InvalidInitStateError,
     InvalidProbabilityError,
     KernelDistribution,
     LampModel,
@@ -252,6 +253,15 @@ class TestSimulateLamp:
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError):
             simulate_lamp(LampModel(THREE_STATE, SPIKE_7), 0, seed=0)
+
+    def test_fractional_init_rejected(self):
+        # A float index is no state: int() would start this path at state 2.
+        model = LampModel(THREE_STATE, SPIKE_7)
+        with pytest.raises(InvalidInitStateError, match="2.9"):
+            simulate_lamp(model, 4, seed=0, init=2.9)
+        path = simulate_lamp(model, 4, seed=0, init="c")
+        assert simulate_lamp(model, 4, seed=0, init=2) == path
+        assert simulate_lamp(model, 4, seed=0, init=np.int64(2)) == path
 
     def test_dense_working_memory(self):
         # The path's states and labels, about 17 bytes a step, one block's

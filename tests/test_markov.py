@@ -372,6 +372,14 @@ class TestSimulateMarkov:
         with pytest.raises(InvalidInitStateError):
             simulate_markov(P, 3, seed=0, init="zzz")
 
+    def test_fractional_init_rejected(self):
+        # A float index is no state: int() would start this path at state 1.
+        P = validate_stochastic([[0.0, 1.0], [1.0, 0.0]], ["a", "b"])
+        with pytest.raises(InvalidInitStateError, match="1.7"):
+            simulate_markov(P, 4, seed=0, init=1.7)
+        assert simulate_markov(P, 3, seed=0, init=np.int64(1)) == ["b", "a", "b"]
+        assert simulate_markov(P, 3, seed=0, init=np.uint8(1)) == ["b", "a", "b"]
+
     @pytest.mark.parametrize("n", SAMPLER_SIZES)
     @pytest.mark.parametrize("u, state", [(0.0, "s1"), (NEAR_ONE, "s5")])
     def test_draws_land_on_positive_cells(self, n, u, state):
