@@ -7,6 +7,11 @@ builds: JSON outputs embed it under a ``config`` key, CSV and Lines
 outputs get a ``<output>.run.json`` sidecar so their formats stay clean.
 Identical configurations and inputs produce byte-identical artifacts.
 
+Each flag's rule is its argparse ``type``, checked whether or not the
+run reads the flag; handlers check only rules that join two flags. A
+malformed, out-of-range, missing or unknown flag is a :class:`ConfigError`,
+reported like every error: one JSON line on stderr, exit status 2.
+
 Log verbosity is controlled by the ``LAMP_ENTROPY_LOG_LEVEL``
 environment variable: a level name in any case (default WARNING). An
 unknown name is a configuration error.
@@ -43,8 +48,40 @@ from .lamp import load_model, save_model, simulate_lamp
 from .markov import EncodedJSON, load_matrix_csv, load_matrix_json, simulate_markov, write_json
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line by raising, so that :func:`main` reports it."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _rule(parse, holds, wanted: str):
+    """A ``type`` for a flag: ``parse`` its text, then keep the value only if it ``holds``."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if holds(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+
+    return convert
+
+
+_POSITIVE = _rule(int, lambda v: v >= 1, "an integer >= 1")
+_INDEX = _rule(int, lambda v: v >= 0, "an integer >= 0")
+# The sweep's p = 2**-i must be a positive double: 2.0**-1074 is the
+# smallest, 2.0**-1075 is 0.0 (and a long enough i overflows the float).
+_EXPONENT = _rule(int, lambda i: 1 <= i <= 1074, "an integer in 1..1074")
+_NUMBER = _rule(float, lambda v: not math.isnan(v), "a number")
+_PROBABILITY = _rule(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_TOKEN = _rule(str, lambda v: v.split() == [v], "one token with no whitespace")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lamp-entropy",
         description="Simulate, fit and entropy-profile lag-mixture Markov models.",
     )
@@ -52,10 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sim = sub.add_parser("simulate", help="sample a token path to a Lines file")
-    sim.add_argument("--model", help="model JSON (labels, rows, kernel)")
-    sim.add_argument("--matrix", help="transition matrix JSON or CSV (first-order chain)")
-    sim.add_argument("--steps", type=int, required=True)
-    sim.add_argument("--seed", type=int, default=0)
+    source = sim.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", help="model JSON (labels, rows, kernel)")
+    source.add_argument("--matrix", help="transition matrix JSON or CSV (first-order chain)")
+    sim.add_argument("--steps", type=_POSITIVE, required=True)
+    sim.add_argument("--seed", type=_INDEX, default=0)
     sim.add_argument("--init", default=None, help="start label (default: stationary draw)")
     sim.add_argument("--output", required=True)
     sim.set_defaults(func=_cmd_simulate)
@@ -63,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit a lag-mixture model to a corpus")
     _add_corpus_args(fit)
     _add_preprocess_args(fit)
-    fit.add_argument("--k", type=int, required=True, help="kernel order")
+    fit.add_argument("--k", type=_POSITIVE, required=True, help="kernel order")
     _add_em_args(fit)
     fit.add_argument("--output", required=True, help="fitted model JSON")
     fit.add_argument("--report", default=None, help="fit report JSON (default: <output>.report.json)")
@@ -78,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["sequence-level", "path-level", "stationary", "markov", "lamp"],
     )
     ent.add_argument("--conditioning", choices=["largest-cc", "induced"], default="induced")
-    ent.add_argument("--p-artificial", type=float, default=DEFAULT_P_ARTIFICIAL)
-    ent.add_argument("--k", type=int, default=None, help="kernel order (lamp method)")
+    ent.add_argument("--p-artificial", type=_PROBABILITY, default=DEFAULT_P_ARTIFICIAL)
+    ent.add_argument("--k", type=_POSITIVE, default=None, help="kernel order (lamp method)")
     _add_em_args(ent)
     ent.add_argument("--output", required=True, help="report JSON")
     ent.set_defaults(func=_cmd_entropy)
@@ -88,11 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(swp)
     _add_preprocess_args(swp)
     swp.add_argument("--model-kind", choices=list(DEFAULT_SWEEP_EXPONENTS), default="markov")
-    swp.add_argument("--k", type=int, default=None, help="kernel order (lamp kind)")
-    swp.add_argument("--i-min", type=int, default=1)
+    swp.add_argument("--k", type=_POSITIVE, default=None, help="kernel order (lamp kind)")
+    swp.add_argument("--i-min", type=_EXPONENT, default=1)
     swp.add_argument(
         "--i-max",
-        type=int,
+        type=_EXPONENT,
         default=None,
         help="default "
         + " or ".join(f"{r[-1]} ({kind})" for kind, r in DEFAULT_SWEEP_EXPONENTS.items()),
@@ -103,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof = sub.add_parser("profile", help="Cramér's V dependency profile of a corpus")
     _add_corpus_args(prof)
-    prof.add_argument("--max-lag", type=int, required=True)
+    prof.add_argument("--max-lag", type=_POSITIVE, required=True)
     prof.add_argument("--include-lag0", action="store_true")
     prof.add_argument("--output", required=True, help="profile CSV")
     prof.set_defaults(func=_cmd_profile)
@@ -121,34 +159,37 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", required=True, help="corpus file")
     parser.add_argument("--format", choices=["lines", "tsv"], default="lines")
-    parser.add_argument("--group-col", type=int, default=None, help="tsv: grouping column (0-based)")
-    parser.add_argument("--item-col", type=int, default=None, help="tsv: item column (0-based)")
+    parser.add_argument("--group-col", type=_INDEX, default=None, help="tsv: grouping column (0-based)")
+    parser.add_argument("--item-col", type=_INDEX, default=None, help="tsv: item column (0-based)")
 
 
 def _add_preprocess_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-count", type=int, default=DEFAULT_MIN_COUNT, help="rare-token threshold")
-    parser.add_argument("--rare-token", default=DEFAULT_RARE_TOKEN)
+    parser.add_argument("--min-count", type=_POSITIVE, default=DEFAULT_MIN_COUNT, help="rare-token threshold")
+    parser.add_argument("--rare-token", type=_TOKEN, default=DEFAULT_RARE_TOKEN)
 
 
 def _add_em_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-iter", type=int, default=DEFAULT_EM_MAX_ITER)
-    parser.add_argument("--tol", type=float, default=DEFAULT_EM_TOL)
+    parser.add_argument("--max-iter", type=_POSITIVE, default=DEFAULT_EM_MAX_ITER)
+    parser.add_argument("--tol", type=_NUMBER, default=DEFAULT_EM_TOL)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    params = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in ("func", "subcommand")
-    }
-    config = {"subcommand": args.subcommand, "params": params}
+    # argparse names the subcommand in this namespace before it parses the
+    # subcommand's flags, so a rejected flag's error can name it too.
+    args = argparse.Namespace(subcommand=None)
     try:
+        build_parser().parse_args(argv, namespace=args)
+        params = {
+            key: value
+            for key, value in sorted(vars(args).items())
+            if key not in ("func", "subcommand")
+        }
+        config = {"subcommand": args.subcommand, "params": params}
         _configure_logging()
         args.func(args, config)
     except (LampError, OSError) as exc:
-        _emit_error(exc, config)
+        doc = {"error": type(exc).__name__, "message": str(exc), "subcommand": args.subcommand}
+        print(json.dumps(doc), file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
     return 0
 
@@ -160,15 +201,6 @@ def _configure_logging() -> None:
     if not isinstance(level, int):
         raise ConfigError(f"LAMP_ENTROPY_LOG_LEVEL names no logging level: {name!r}")
     logging.basicConfig(level=level)
-
-
-def _emit_error(exc: Exception, config: dict) -> None:
-    doc = {
-        "error": type(exc).__name__,
-        "message": str(exc),
-        "subcommand": config["subcommand"],
-    }
-    print(json.dumps(doc), file=sys.stderr)
 
 
 def _write_json(path, doc: dict, config: dict) -> None:
@@ -193,21 +225,12 @@ def _write_lines(path, sequences, labels) -> None:
 
 
 def _load_corpus(args):
-    if args.format == "tsv":
-        if args.group_col is None or args.item_col is None:
-            raise ConfigError("tsv input needs --group-col and --item-col")
-        if args.group_col < 0 or args.item_col < 0:
-            raise ConfigError(
-                f"--group-col and --item-col must be >= 0, got {args.group_col} and {args.item_col}"
-            )
+    if args.format == "tsv" and (args.group_col is None or args.item_col is None):
+        raise ConfigError("tsv input needs --group-col and --item-col")
     return load_sequences(args.input, args.format, args.group_col, args.item_col)
 
 
 def _preprocessed_corpus(args):
-    if args.min_count < 1:
-        raise ConfigError(f"--min-count must be >= 1, got {args.min_count}")
-    if args.rare_token.split() != [args.rare_token]:
-        raise ConfigError(f"--rare-token must be one token with no whitespace, got {args.rare_token!r}")
     corpus = _load_corpus(args)
     cleaned, stages = preprocess(corpus, args.min_count, args.rare_token)
     info = {
@@ -218,33 +241,7 @@ def _preprocessed_corpus(args):
     return cleaned, info
 
 
-def _check_em_args(args, option: str) -> None:
-    """Reject EM settings before the corpus is read; ``option`` is what asked for EM."""
-    if args.k is None:
-        raise ConfigError(f"{option} needs --k")
-    if args.k < 1:
-        raise ConfigError(f"--k must be >= 1, got {args.k}")
-    if args.max_iter < 1:
-        raise ConfigError(f"--max-iter must be >= 1, got {args.max_iter}")
-    if math.isnan(args.tol):
-        raise ConfigError("--tol must be a number, got nan")
-
-
-def _conditioning(args):
-    if args.conditioning == "largest-cc":
-        return LargestCC()
-    if not 0.0 < args.p_artificial < 1.0:
-        raise ConfigError(f"--p-artificial must lie in (0, 1), got {args.p_artificial}")
-    return Induced(args.p_artificial)
-
-
 def _cmd_simulate(args, config: dict) -> None:
-    if (args.model is None) == (args.matrix is None):
-        raise ConfigError("provide exactly one of --model or --matrix")
-    if args.steps < 1:
-        raise ConfigError("--steps must be >= 1")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.model is not None:
         model = load_model(args.model)
         labels = model.matrix.labels
@@ -260,7 +257,6 @@ def _cmd_simulate(args, config: dict) -> None:
 
 
 def _cmd_fit(args, config: dict) -> None:
-    _check_em_args(args, "fit")
     corpus, info = _preprocessed_corpus(args)
     report = fit_lamp_em(corpus, args.k, max_iter=args.max_iter, tol=args.tol)
     # The model is encoded once: the report embeds the text of the model file.
@@ -276,9 +272,9 @@ def _cmd_fit(args, config: dict) -> None:
 
 
 def _cmd_entropy(args, config: dict) -> None:
-    if args.method == "lamp":
-        _check_em_args(args, "--method lamp")
-    conditioning = None if args.method in ("sequence-level", "path-level") else _conditioning(args)
+    if args.method == "lamp" and args.k is None:
+        raise ConfigError("--method lamp needs --k")
+    conditioning = LargestCC() if args.conditioning == "largest-cc" else Induced(args.p_artificial)
     corpus, info = _preprocessed_corpus(args)
     if args.method == "sequence-level":
         report = sequence_level_estimate(corpus)
@@ -298,13 +294,11 @@ def _cmd_entropy(args, config: dict) -> None:
 
 
 def _cmd_sweep(args, config: dict) -> None:
-    if args.model_kind == "lamp":
-        _check_em_args(args, "--model-kind lamp")
+    if args.model_kind == "lamp" and args.k is None:
+        raise ConfigError("--model-kind lamp needs --k")
     i_max = DEFAULT_SWEEP_EXPONENTS[args.model_kind][-1] if args.i_max is None else args.i_max
-    if args.i_min < 1 or i_max < args.i_min:
-        raise ConfigError(f"invalid exponent range {args.i_min}..{i_max}")
-    if 2.0**-i_max == 0.0:
-        raise ConfigError(f"--i-max {i_max} gives p = 2**-{i_max}, which is 0.0 in floating point")
+    if i_max < args.i_min:
+        raise ConfigError(f"--i-min {args.i_min} exceeds --i-max {i_max}")
     corpus, info = _preprocessed_corpus(args)
     result = sweep_p_artificial(
         corpus,
@@ -324,8 +318,6 @@ def _cmd_sweep(args, config: dict) -> None:
 
 
 def _cmd_profile(args, config: dict) -> None:
-    if args.max_lag < 1:
-        raise ConfigError("--max-lag must be >= 1")
     corpus = _load_corpus(args)
     profile = corpus_dependency_profile(corpus, args.max_lag, args.include_lag0)
     write_profile_csv(profile, args.output)

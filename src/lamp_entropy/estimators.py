@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .conditioning import Induced, LargestCC, induced_entropy_rates
+from .conditioning import Induced, LargestCC, _check_p_artificial, induced_entropy_rates
 from .corpus import SequenceCorpus
 from .errors import EmptyCorpusError, EmptySequenceError, NotADistributionError, malformed_file
 from .fitting import DEFAULT_EM_MAX_ITER, DEFAULT_EM_TOL, fit_first_order, fit_lamp_em
@@ -170,10 +170,11 @@ def sweep_p_artificial(
     """Entropy estimates across artificial weights ``p = 2**-i``.
 
     ``kind`` is a key of :data:`DEFAULT_SWEEP_EXPONENTS`, which gives
-    the default exponents. The model is fitted once, after the range is
-    checked; only the conditioning varies with ``i``. The normalised
-    curve is a min-max rescaling (all zeros when the raw curve is
-    constant), and the recommended exponent is the default plateau choice.
+    the default exponents. The model is fitted once, after every ``p`` is
+    checked to lie in (0, 1); only the conditioning varies with ``i``. The
+    normalised curve is a min-max rescaling (all zeros when the raw curve
+    is constant), and the recommended exponent is the default plateau
+    choice.
     """
     if kind not in DEFAULT_SWEEP_EXPONENTS:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -188,11 +189,14 @@ def sweep_p_artificial(
     exponents = tuple(map(int, exponents))
     if not exponents:
         raise ValueError("exponent range is empty")
+    p_values = [2.0**-i for i in exponents]
+    for p in p_values:
+        _check_p_artificial(p)
     if kind == "lamp":
         fitted = fit_lamp_em(corpus, k, max_iter=max_iter, tol=tol).model.matrix
     else:
         fitted = fit_first_order(corpus, smoothing=0.0)
-    raw = tuple(induced_entropy_rates(fitted, [2.0**-i for i in exponents]))
+    raw = tuple(induced_entropy_rates(fitted, p_values))
     result = SweepResult(exponents, raw, tuple(minmax_normalize(raw)), None)
     return replace(result, recommended_exponent=detect_plateau(result))
 

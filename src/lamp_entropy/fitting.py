@@ -134,6 +134,14 @@ def fit_lamp_em(
     if total_positions == 0:
         raise EmptyCorpusError("corpus contains no transitions to fit")
 
+    # A start that cannot fit is rejected before the pattern step, the costliest part of a fit.
+    if init is not None:
+        kernel0, matrix0 = init
+        if kernel0.k != k:
+            raise ValueError(f"init kernel has order {kernel0.k}, expected {k}")
+        if matrix0.states.labels != corpus.vocabulary.labels:
+            raise ValueError("init matrix state space does not match the corpus vocabulary")
+
     cells, em_round = _em_round(tokens, offsets, k, n)
     if init is None:
         weights = np.full(k, 1.0 / k)
@@ -141,11 +149,6 @@ def fit_lamp_em(
             lagged_pair_counts(tokens, offsets, n, 1) + DEFAULT_INIT_SMOOTHING
         ).ravel()[cells]
     else:
-        kernel0, matrix0 = init
-        if kernel0.k != k:
-            raise ValueError(f"init kernel has order {kernel0.k}, expected {k}")
-        if matrix0.states.labels != corpus.vocabulary.labels:
-            raise ValueError("init matrix state space does not match the corpus vocabulary")
         weights = kernel0.weights
         cell_probs = matrix0.rows.ravel()[cells]
 

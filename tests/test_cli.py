@@ -265,39 +265,76 @@ class TestSweep:
         assert all(0.0 < float(r["raw_bits"]) < 1e-300 for r in rows)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["fit", "--k", 0, "--output", "m.json"],
-        ["fit", "--k", 2, "--max-iter", 0, "--output", "m.json"],
-        ["entropy", "--method", "lamp", "--k", 0, "--output", "r.json"],
-        ["sweep", "--model-kind", "lamp", "--k", 0, "--output", "s.csv"],
-        ["preprocess", "--min-count", 0, "--output", "c.lines"],
-        ["profile", "--max-lag", 0, "--output", "p.csv"],
-        ["entropy", "--method", "markov", "--p-artificial", 0, "--output", "r.json"],
-        ["fit", "--k", 2, "--tol", "nan", "--output", "m.json"],
-        ["profile", "--format", "tsv", "--group-col", -5, "--item-col", 1, "--max-lag", 1,
-         "--output", "p.csv"],
-        ["profile", "--format", "tsv", "--group-col", -1, "--item-col", 1, "--max-lag", 1,
-         "--output", "p.csv"],
-        ["preprocess", "--format", "tsv", "--group-col", 0, "--item-col", -1,
-         "--output", "c.lines"],
-        ["sweep", "--i-min", 0, "--output", "s.csv"],
-        ["sweep", "--i-min", 5, "--i-max", 3, "--output", "s.csv"],
-        ["profile", "--format", "tsv", "--max-lag", 1, "--output", "p.csv"],
-        ["simulate", "--steps", 0, "--output", "s.lines"],
-        ["simulate", "--steps", 5, "--seed", -1, "--output", "s.lines"],
-    ],
-    ids=["fit-k", "fit-max-iter", "entropy-k", "sweep-k", "min-count", "max-lag",
-         "p-artificial", "tol-nan", "group-col-minus-5", "group-col-minus-1", "item-col-minus-1",
-         "i-min-0", "i-max-below-i-min", "tsv-without-columns", "steps-0", "seed-minus-1"],
-)
-def test_invalid_number_rejected_before_loading(tmp_path, capsys, argv):
+# Each rejected command line: the flag its error must name, and the flags
+# after the subcommand (the test adds a missing --input, or --model).
+BAD_FLAGS = {
+    "fit-k": ("--k", ["fit", "--k", 0, "--output", "m.json"]),
+    "fit-max-iter": ("--max-iter", ["fit", "--k", 2, "--max-iter", 0, "--output", "m.json"]),
+    "entropy-k": ("--k", ["entropy", "--method", "lamp", "--k", 0, "--output", "r.json"]),
+    "sweep-k": ("--k", ["sweep", "--model-kind", "lamp", "--k", 0, "--output", "s.csv"]),
+    "min-count": ("--min-count", ["preprocess", "--min-count", 0, "--output", "c.lines"]),
+    "max-lag": ("--max-lag", ["profile", "--max-lag", 0, "--output", "p.csv"]),
+    "p-artificial": (
+        "--p-artificial", ["entropy", "--method", "markov", "--p-artificial", 0, "--output", "r.json"]
+    ),
+    "tol-nan": ("--tol", ["fit", "--k", 2, "--tol", "nan", "--output", "m.json"]),
+    "group-col-minus-5": ("--group-col", ["profile", "--format", "tsv", "--group-col", -5,
+                                          "--item-col", 1, "--max-lag", 1, "--output", "p.csv"]),
+    "group-col-minus-1": ("--group-col", ["profile", "--format", "tsv", "--group-col", -1,
+                                          "--item-col", 1, "--max-lag", 1, "--output", "p.csv"]),
+    "item-col-minus-1": ("--item-col", ["preprocess", "--format", "tsv", "--group-col", 0,
+                                        "--item-col", -1, "--output", "c.lines"]),
+    "i-min-0": ("--i-min", ["sweep", "--i-min", 0, "--output", "s.csv"]),
+    "i-max-below-i-min": ("--i-min", ["sweep", "--i-min", 5, "--i-max", 3, "--output", "s.csv"]),
+    "tsv-without-columns": (
+        "--group-col", ["profile", "--format", "tsv", "--max-lag", 1, "--output", "p.csv"]
+    ),
+    "steps-0": ("--steps", ["simulate", "--steps", 0, "--output", "s.lines"]),
+    "seed-minus-1": ("--seed", ["simulate", "--steps", 5, "--seed", -1, "--output", "s.lines"]),
+    # Malformed, missing and unknown flags leave by the same path as out-of-range ones.
+    "k-not-a-number": ("--k", ["fit", "--k", "abc", "--output", "m.json"]),
+    "unknown-method": ("--method", ["entropy", "--method", "nope", "--output", "r.json"]),
+    "missing-output": ("--output", ["fit", "--k", 2]),
+    "no-subcommand": ("subcommand", []),
+    "i-max-1075": ("--i-max", ["sweep", "--i-max", 1075, "--output", "s.csv"]),
+    # 2.0**-(10**400) would raise OverflowError, not give 0.0.
+    "i-max-beyond-a-float": ("--i-max", ["sweep", "--i-max", 10**400, "--output", "s.csv"]),
+    # A flag's range holds even where the chosen method does not read the flag.
+    "p-artificial-largest-cc": ("--p-artificial", ["entropy", "--method", "markov", "--conditioning",
+                                                   "largest-cc", "--p-artificial", 0, "--output", "r.json"]),
+    "k-0-markov": ("--k", ["entropy", "--method", "markov", "--k", 0, "--output", "r.json"]),
+}
+
+
+@pytest.mark.parametrize("flag, argv", list(BAD_FLAGS.values()), ids=list(BAD_FLAGS))
+def test_invalid_number_rejected_before_loading(tmp_path, capsys, flag, argv):
     # The input does not exist: reading it first would exit 1 with an I/O error.
-    source = "--model" if argv[0] == "simulate" else "--input"
-    code = run([*argv[:1], source, tmp_path / "nope.lines", *argv[1:]])
-    assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    if argv:
+        source = "--model" if argv[0] == "simulate" else "--input"
+        argv = [argv[0], source, tmp_path / "nope.lines", *argv[1:]]
+    assert run(argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ConfigError"
+    assert flag in err["message"]
+    assert err["subcommand"] == (argv[0] if argv else None)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["--version"], f"lamp-entropy {lamp_entropy.__version__}\n"),
+        (["--help"], "usage: lamp-entropy [-h] [--version]"),
+        (["fit", "--help"], "usage: lamp-entropy fit [-h]"),
+    ],
+)
+def test_help_and_version_exit_0(capsys, argv, text):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 0
+    out = capsys.readouterr()
+    assert out.out.startswith(text)
+    assert out.err == ""
 
 
 # Each input file is malformed in one way; the option that reads it.

@@ -467,6 +467,19 @@ def test_sweep_rejects_fractional_exponents():
 
 
 @pytest.mark.parametrize("kind", list(DEFAULT_SWEEP_EXPONENTS))
+@pytest.mark.parametrize("bad", [0, -3, 1075])
+def test_sweep_checks_every_p_before_fitting(monkeypatch, kind, bad):
+    # 2**-i must lie in (0, 1): i = 0 and -3 give p >= 1, and 2.0**-1075 is 0.0.
+    fits = []
+    monkeypatch.setattr("lamp_entropy.estimators.fit_first_order", lambda *a, **kw: fits.append(a))
+    monkeypatch.setattr("lamp_entropy.estimators.fit_lamp_em", lambda *a, **kw: fits.append(a))
+    corpus = SequenceCorpus.from_sequences([["a", "b", "a", "c"] * 20])
+    with pytest.raises(InvalidProbabilityError):
+        sweep_p_artificial(corpus, kind, k=1, exponents=[1, 2, bad])
+    assert fits == []
+
+
+@pytest.mark.parametrize("kind", list(DEFAULT_SWEEP_EXPONENTS))
 def test_sweep_default_exponents_come_from_the_table(kind):
     corpus = SequenceCorpus.from_sequences([["a", "b", "a", "c"] * 20])
     result = sweep_p_artificial(corpus, kind=kind, k=1, max_iter=2)

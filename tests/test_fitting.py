@@ -393,6 +393,19 @@ class TestFitLampEm:
         with pytest.raises(ValueError, match="vocabulary"):
             fit_lamp_em(corpus, k=1, init=(KernelDistribution.point_mass(1), swapped))
 
+    def test_mismatched_init_is_rejected_before_the_pattern_step(self, monkeypatch):
+        def no_pattern_step(*args):
+            raise AssertionError("the pattern step ran before init was checked")
+
+        monkeypatch.setattr("lamp_entropy.fitting._em_round", no_pattern_step)
+        corpus = SequenceCorpus.from_sequences([["a", "b", "a", "b", "b"]])
+        identity = validate_stochastic([[1.0, 0.0], [0.0, 1.0]], ["a", "b"])
+        swapped = validate_stochastic([[1.0, 0.0], [0.0, 1.0]], ["b", "a"])
+        with pytest.raises(ValueError, match="order 6, expected 5"):
+            fit_lamp_em(corpus, k=5, init=(KernelDistribution.uniform(6), identity))
+        with pytest.raises(ValueError, match="vocabulary"):
+            fit_lamp_em(corpus, k=5, init=(KernelDistribution.uniform(5), swapped))
+
     def test_short_and_empty_sequences_add_nothing(self):
         # An empty or one-token sequence holds no transition: the fit is
         # the fit without it.
