@@ -45,7 +45,7 @@ from .estimators import (
 )
 from .fitting import DEFAULT_EM_MAX_ITER, DEFAULT_EM_TOL, fit_first_order, fit_lamp_em
 from .lamp import load_model, save_model, simulate_lamp
-from .markov import EncodedJSON, load_matrix_csv, load_matrix_json, simulate_markov, write_json
+from .markov import load_matrix_csv, load_matrix_json, simulate_markov, write_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -259,8 +259,8 @@ def _cmd_simulate(args, config: dict) -> None:
 def _cmd_fit(args, config: dict) -> None:
     corpus, info = _preprocessed_corpus(args)
     report = fit_lamp_em(corpus, args.k, max_iter=args.max_iter, tol=args.tol)
-    # The model is encoded once: the report embeds the text of the model file.
-    model = EncodedJSON(save_model(report.model, args.output))
+    # The model is encoded once: the report embeds the chunks of the model file.
+    model = save_model(report.model, args.output)
     report_path = args.report or f"{args.output}.report.json"
     doc = {"model": model, **report._fit_json_dict(), "preprocessing": info}
     _write_json(report_path, doc, config)

@@ -66,21 +66,23 @@ class SequenceCorpus:
         """Encode label sequences, deriving the vocabulary in first-appearance order.
 
         Every corpus built from labels is encoded here, each file that
-        :func:`load_sequences` reads included. Raises
+        :func:`load_sequences` reads included. The corpus is encoded one
+        sequence at a time, so only the sequence being encoded is held
+        as labels when ``sequences`` yields them lazily. Raises
         :class:`EmptyCorpusError` when there is no token at all.
         """
-        flat: list = []
-        ends = [0]
-        for seq in sequences:
-            flat.extend(seq)
-            ends.append(len(flat))
-        if not flat:
-            raise EmptyCorpusError("corpus contains no tokens")
         # One pass: a label not seen before gets the next code.
         index = defaultdict()
         index.default_factory = index.__len__
-        codes = np.fromiter(map(index.__getitem__, flat), dtype=np.int32, count=len(flat))
-        return cls(codes, np.array(ends, dtype=np.int64), StateSpace(tuple(index)))
+        codes: list = []
+        ends = [0]
+        for seq in sequences:
+            codes.extend(map(index.__getitem__, seq))
+            ends.append(len(codes))
+        if not codes:
+            raise EmptyCorpusError("corpus contains no tokens")
+        tokens = np.fromiter(codes, dtype=np.int32, count=len(codes))
+        return cls(tokens, np.array(ends, dtype=np.int64), StateSpace(tuple(index)))
 
     @property
     def n_sequences(self) -> int:
@@ -139,7 +141,8 @@ def load_sequences(
     (blank lines are skipped). ``fmt="tsv"``: tab-separated rows grouped
     by the value in ``group_col``; the ``item_col`` values of each group
     form one sequence in file order. Both are encoded by
-    :meth:`SequenceCorpus.from_sequences`.
+    :meth:`SequenceCorpus.from_sequences`, one sequence at a time: a
+    Lines file is never held as labels beyond the line being encoded.
     """
     if fmt == "lines":
         with open(path, "r", encoding="utf-8-sig") as fh, malformed_file(path):

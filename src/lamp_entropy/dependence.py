@@ -137,8 +137,11 @@ def corpus_dependency_profile(
     labels = corpus.vocabulary.labels
     out = []
     for lag in range(0 if include_lag0 else 1, max_lag + 1):
-        counts = lagged_pair_counts(corpus.tokens, corpus.offsets, n, lag)
-        v = cramers_v(ContingencyTable(labels, labels, counts))
+        # No name holds the lag's dense n^2 table, so it is freed before
+        # the next lag's is counted.
+        v = cramers_v(ContingencyTable(
+            labels, labels, lagged_pair_counts(corpus.tokens, corpus.offsets, n, lag)
+        ))
         out.append(ProfilePoint(lag, v.value, v.degenerate))
     return out
 

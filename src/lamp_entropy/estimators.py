@@ -20,9 +20,15 @@ from enum import Enum
 
 import numpy as np
 
-from .conditioning import Induced, LargestCC, _check_p_artificial, induced_entropy_rates
+from .conditioning import Induced, LargestCC, induced_entropy_rates
 from .corpus import SequenceCorpus
-from .errors import EmptyCorpusError, EmptySequenceError, NotADistributionError, malformed_file
+from .errors import (
+    EmptyCorpusError,
+    EmptySequenceError,
+    InvalidProbabilityError,
+    NotADistributionError,
+    malformed_file,
+)
 from .fitting import DEFAULT_EM_MAX_ITER, DEFAULT_EM_TOL, fit_first_order, fit_lamp_em
 from .lamp import KernelDistribution
 from .markov import TransitionMatrix, _check_probabilities, stationary_distribution, write_csv
@@ -189,9 +195,7 @@ def sweep_p_artificial(
     exponents = tuple(map(int, exponents))
     if not exponents:
         raise ValueError("exponent range is empty")
-    p_values = [2.0**-i for i in exponents]
-    for p in p_values:
-        _check_p_artificial(p)
+    p_values = [_p_of_exponent(i) for i in exponents]
     if kind == "lamp":
         fitted = fit_lamp_em(corpus, k, max_iter=max_iter, tol=tol).model.matrix
     else:
@@ -199,6 +203,20 @@ def sweep_p_artificial(
     raw = tuple(induced_entropy_rates(fitted, p_values))
     result = SweepResult(exponents, raw, tuple(minmax_normalize(raw)), None)
     return replace(result, recommended_exponent=detect_plateau(result))
+
+
+def _p_of_exponent(i: int) -> float:
+    """The sweep's ``p = 2**-i``, checked to lie in (0, 1)."""
+    try:
+        p = 2.0**-i
+    except OverflowError:
+        # An i too large for a float, or one so negative that 2**-i overflows.
+        p = None
+    if p is None or not 0.0 < p < 1.0:
+        raise InvalidProbabilityError(
+            f"exponent {i} gives no p_artificial = 2**-i strictly between 0 and 1"
+        )
+    return p
 
 
 def minmax_normalize(values) -> list[float]:

@@ -18,10 +18,12 @@ from .errors import EmptyHistoryError, TooShortError, ZeroProbabilityError, malf
 from .markov import (
     _BLOCK,
     _check_probabilities,
+    _chunks,
     _inverse_cdf,
     _spans,
     _start,
     _walk,
+    EncodedJSON,
     TransitionMatrix,
     entropy_rate,
     stationary_distribution,
@@ -274,9 +276,12 @@ def _model_document(model: LampModel) -> dict:
     }
 
 
-def save_model(model: LampModel, path) -> str:
-    """Write the model's JSON document to ``path``; return the text written."""
-    return write_json(_model_document(model), path)
+def save_model(model: LampModel, path) -> EncodedJSON:
+    """Write the model's JSON document to ``path``; return its chunks,
+    which a larger document embeds without encoding the model again."""
+    encoded = EncodedJSON(tuple(_chunks(_model_document(model), "")))
+    write_json(encoded, path)
+    return encoded
 
 
 def load_model(path) -> LampModel:

@@ -4,8 +4,9 @@ Transition matrices are validated, immutable, row-stochastic arrays.
 Every stationary law and every rate's ``x(p)·h`` comes from one
 certified solver per block of the SCC condensation (``_Blocks``); the
 entropy rate is reported in bits per symbol throughout. Every JSON
-artifact of the package is written by :func:`encode_json`, and every
-CSV artifact by :func:`write_csv`.
+artifact of the package is written by :func:`write_json` as
+:func:`encode_json` encodes it, and every CSV artifact by
+:func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -668,31 +669,41 @@ def _inverse_cdf(probs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 @dataclass(frozen=True)
 class EncodedJSON:
-    """Text from :func:`encode_json`, embedded as it is in a larger document."""
+    """An encoded document, embedded as it is in a larger one.
 
-    text: str
+    ``chunks`` are the pieces of its :func:`encode_json` text, without
+    the final newline, as :func:`lamp_entropy.lamp.save_model` returns
+    them.
+    """
+
+    chunks: tuple[str, ...]
 
 
 def encode_json(doc) -> str:
     """The text ``json.dumps(doc, indent=2) + "\\n"``, byte for byte.
 
     An ndarray is written as its ``tolist()`` and an :class:`EncodedJSON`
-    as its text, re-indented to where it sits. A finite 2-D float64
+    as its chunks, re-indented to where it sits. A finite 2-D float64
     array, such as a transition matrix, is formatted straight from the
-    array: each nonzero entry by ``float.__repr__`` (as ``json`` does),
-    every zero as one shared ``"0.0"``. Strings, other numbers and
-    non-finite values go through ``json.dumps``, so escaping and the
-    spelling of ``NaN`` are the standard encoder's. Object keys must be
-    strings.
+    array, one row at a time: each nonzero entry by ``float.__repr__``
+    (as ``json`` does), every zero as one shared ``"0.0"``. Strings,
+    other numbers and non-finite values go through ``json.dumps``, so
+    escaping and the spelling of ``NaN`` are the standard encoder's.
+    Object keys must be strings.
     """
-    return _encode(doc, "") + "\n"
+    return "".join(_chunks(doc, "")) + "\n"
 
 
-def write_json(doc, path) -> str:
-    """Write :func:`encode_json` of ``doc`` to ``path``; return the text."""
-    text = encode_json(doc)
-    Path(path).write_text(text, encoding="utf-8")
-    return text
+def write_json(doc, path) -> None:
+    """Write :func:`encode_json` of ``doc`` to ``path`` as it is encoded.
+
+    The text is written a chunk at a time (a matrix row, a key, a
+    scalar) and none is kept; a document that fails to encode leaves
+    the file cut short.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_chunks(doc, ""))
+        fh.write("\n")
 
 
 def write_csv(path, header, rows) -> None:
@@ -703,51 +714,74 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _encode(value, indent: str) -> str:
+def _chunks(value, indent: str):
+    """The text of ``value`` at ``indent``, in pieces that join to it."""
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        items = []
+            yield "{}"
+            return
+        opener = "{\n"
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            items.append(f"{inner}{json.dumps(key)}: {_encode(item, inner)}")
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
+            yield f"{opener}{inner}{json.dumps(key)}: "
+            yield from _chunks(item, inner)
+            opener = ",\n"
+        yield "\n" + indent + "}"
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
-        parts = [_encode(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
-    if isinstance(value, np.ndarray):
+            yield "[]"
+            return
+        opener = "[\n"
+        for item in value:
+            yield opener + inner
+            yield from _chunks(item, inner)
+            opener = ",\n"
+        yield "\n" + indent + "]"
+    elif isinstance(value, np.ndarray):
         if value.ndim == 2 and value.size and value.dtype == np.float64:
             if np.isfinite(value).all():
-                return _encode_matrix(value, indent)
-        return _encode(value.tolist(), indent)
-    if isinstance(value, EncodedJSON):
+                yield from _matrix_chunks(value, indent)
+                return
+        yield from _chunks(value.tolist(), indent)
+    elif isinstance(value, EncodedJSON):
+        if not indent:
+            yield from value.chunks
+            return
         # Encoded JSON has raw newlines only in its layout (strings escape
         # them), so this shifts the layout and touches no string.
-        return value.text.rstrip("\n").replace("\n", "\n" + indent)
-    return json.dumps(value)
+        for chunk in value.chunks:
+            yield chunk.replace("\n", "\n" + indent)
+    else:
+        yield json.dumps(value)
 
 
-def _encode_matrix(rows: np.ndarray, indent: str) -> str:
-    # Only for a non-empty matrix: empty ones take the list path.
+def _matrix_chunks(rows: np.ndarray, indent: str):
+    # One chunk per row. Only for a non-empty matrix: empty ones take the
+    # list path.
     inner = indent + "  "
-    flat = rows.ravel()
-    cells = ["0.0"] * flat.size
-    # -0.0 compares equal to 0.0, but json spells it "-0.0".
-    hit = np.flatnonzero((flat != 0.0) | np.signbit(flat))
-    for i, text in zip(hit.tolist(), map(float.__repr__, flat[hit].tolist())):
-        cells[i] = text
-    head = "[\n" + inner + "  "
+    head = inner + "[\n" + inner + "  "
     sep = ",\n" + inner + "  "
     tail = "\n" + inner + "]"
-    n_cols = rows.shape[1]
-    row_texts = [
-        head + sep.join(cells[a : a + n_cols]) + tail for a in range(0, flat.size, n_cols)
-    ]
-    return "[\n" + inner + (",\n" + inner).join(row_texts) + "\n" + indent + "]"
+    # +0.0 is the one finite float whose bits are all zero: -0.0 compares
+    # equal to 0.0, but json spells it "-0.0".
+    row_of, col_of = np.nonzero(rows.view(np.int64))
+    values = rows[row_of, col_of]
+    ends = np.searchsorted(row_of, np.arange(1, rows.shape[0] + 1)).tolist()
+    cells = ["0.0"] * rows.shape[1]
+    opener = "[\n"
+    start = 0
+    for end in ends:
+        cols = col_of[start:end].tolist()
+        for j, text in zip(cols, map(float.__repr__, values[start:end].tolist())):
+            cells[j] = text
+        yield opener + head + sep.join(cells) + tail
+        for j in cols:
+            cells[j] = "0.0"
+        opener = ",\n"
+        start = end
+    yield "\n" + indent + "]"
 
 
 def save_matrix_json(matrix: TransitionMatrix, path) -> None:

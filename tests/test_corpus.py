@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -72,6 +73,26 @@ class TestLoadSequences:
         path.write_text("\n \n\n", encoding="utf-8")
         with pytest.raises(EmptyCorpusError):
             load_sequences(path, "tsv", 0, 1)
+
+    def test_lines_working_memory(self, tmp_path):
+        # 200,000 tokens on 400 lines over 1,000 labels. Encoded a line at a
+        # time, a load holds the codes (8 bytes a token in the list, then 4
+        # in each array) and one line's labels; every token kept as a string
+        # until the end took 71 bytes a token.
+        rng = np.random.default_rng(9)
+        labels = np.array([f"item{i}" for i in range(1000)])
+        path = tmp_path / "c.lines"
+        with open(path, "w", encoding="utf-8") as fh:
+            for _ in range(400):
+                fh.write(" ".join(labels[rng.integers(0, 1000, 500)]) + "\n")
+        tracemalloc.start()
+        try:
+            corpus = load_sequences(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.total_tokens == 200_000
+        assert peak < 32 * corpus.total_tokens
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -1,6 +1,9 @@
 import codecs
+import functools
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from lamp_entropy import (
     DuplicateLabelError,
     InvalidInitStateError,
     InvalidProbabilityError,
+    KernelDistribution,
+    LampModel,
     MalformedFileError,
     NegativeEntryError,
     NonSquareError,
@@ -28,12 +33,13 @@ from lamp_entropy import (
     load_matrix_json,
     save_matrix_csv,
     save_matrix_json,
+    save_model,
     simulate_markov,
     stationary_distribution,
     validate_stochastic,
 )
 from lamp_entropy import markov
-from lamp_entropy.markov import EncodedJSON, encode_json
+from lamp_entropy.markov import EncodedJSON, encode_json, write_json
 
 NAN, INF = float("nan"), float("inf")
 
@@ -464,6 +470,24 @@ class TestMatrixIO:
         old = {"labels": labels, "rows": P.rows.tolist()}
         assert path.read_text(encoding="utf-8") == json.dumps(old, indent=2) + "\n"
 
+    def test_json_working_memory(self, tmp_path):
+        # 1,000 states, about 1 % of cells nonzero: an 11 MB file, nearly
+        # all of it zeros on lines of their own. The writer holds one row's
+        # text and a byte a cell; the whole text took 3.8 times the file.
+        rng = np.random.default_rng(8)
+        n = 1000
+        rows = np.where(rng.random((n, n)) < 0.01, rng.random((n, n)), 0.0)
+        rows[np.arange(n), (np.arange(n) + 1) % n] += 1.0
+        P = validate_stochastic(rows / rows.sum(axis=1, keepdims=True), [f"s{i}" for i in range(n)])
+        path = tmp_path / "m.json"
+        tracemalloc.start()
+        try:
+            save_matrix_json(P, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 3
+
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
         P = random_ergodic(3, rng)
@@ -493,8 +517,25 @@ def plain(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, EncodedJSON):
-        return json.loads(value.text)
+        return json.loads("".join(value.chunks))
     return value
+
+
+def written(doc) -> bytes:
+    """The bytes that write_json puts in a file for ``doc``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        write_json(doc, path)
+        return path.read_bytes()
+
+
+@functools.cache
+def saved_model() -> EncodedJSON:
+    """What save_model returns for a model with escaped labels and a -0.0."""
+    P = validate_stochastic([[0.5, 0.5, 0.0], [-0.0, 0.1, 0.9], [1.0, 0.0, -0.0]],
+                            ['say "hi"', "caf\u00e9", "c"])
+    with tempfile.TemporaryDirectory() as tmp:
+        return save_model(LampModel(P, KernelDistribution([0.25, 0.75])), Path(tmp) / "m.json")
 
 
 # Floats whose text is easy to get wrong: signed zero, the smallest
@@ -528,13 +569,17 @@ class TestEncodeJson:
     @example({"rows": np.array([TRICKY_FLOATS, TRICKY_FLOATS[::-1]])})
     @example(np.array([[NAN, 1.0], [INF, -INF]]))
     def test_matches_json_dumps(self, doc):
-        assert encode_json(doc) == json.dumps(plain(doc), indent=2) + "\n"
+        text = encode_json(doc)
+        assert text == json.dumps(plain(doc), indent=2) + "\n"
+        assert written(doc) == text.encode("utf-8")
 
     @settings(max_examples=100, deadline=None)
     @given(documents_st, documents_st, labels_st)
     def test_embedded_text_is_reindented(self, inner, outer, key):
-        doc = {key: EncodedJSON(encode_json(inner)), "rest": [outer]}
-        assert encode_json(doc) == json.dumps(plain(doc), indent=2) + "\n"
+        doc = {key: EncodedJSON(tuple(markov._chunks(inner, ""))), "rest": [outer, saved_model()]}
+        text = encode_json(doc)
+        assert text == json.dumps(plain(doc), indent=2) + "\n"
+        assert written(doc) == text.encode("utf-8")
 
     def test_tricky_matrix_entries(self):
         rows = np.array([TRICKY_FLOATS])
