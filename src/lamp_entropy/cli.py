@@ -15,6 +15,13 @@ reported like every error: one JSON line on stderr, exit status 2.
 Log verbosity is controlled by the ``LAMP_ENTROPY_LOG_LEVEL``
 environment variable: a level name in any case (default WARNING). An
 unknown name is a configuration error.
+
+Every corpus is read through a cache of encoded corpora, keyed by the
+input file's bytes (:func:`~lamp_entropy.corpus.load_sequences_cached`),
+so a file is parsed once, not once per run. The ``LAMP_ENTROPY_CACHE_DIR``
+environment variable names its directory; unset, it is
+``$XDG_CACHE_HOME/lamp-entropy``, else ``~/.cache/lamp-entropy``; empty,
+the cache is off.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from pathlib import Path
 
 from . import __version__
 from .conditioning import DEFAULT_P_ARTIFICIAL, Induced, LargestCC
-from .corpus import DEFAULT_MIN_COUNT, DEFAULT_RARE_TOKEN, load_sequences, preprocess
+from .corpus import DEFAULT_MIN_COUNT, DEFAULT_RARE_TOKEN, load_sequences_cached, preprocess
 from .dependence import corpus_dependency_profile, write_profile_csv
 from .errors import ConfigError, LampError, UnwritableLabelError
 from .estimators import (
@@ -46,6 +53,8 @@ from .estimators import (
 from .fitting import DEFAULT_EM_MAX_ITER, DEFAULT_EM_TOL, fit_first_order, fit_lamp_em
 from .lamp import load_model, save_model, simulate_lamp
 from .markov import load_matrix_csv, load_matrix_json, simulate_markov, write_json
+
+logger = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,7 +209,26 @@ def _configure_logging() -> None:
     level = logging.getLevelName(name.upper())
     if not isinstance(level, int):
         raise ConfigError(f"LAMP_ENTROPY_LOG_LEVEL names no logging level: {name!r}")
-    logging.basicConfig(level=level)
+    # basicConfig adds the stderr handler only while the root logger has
+    # none, and then ignores its arguments: the level is set on every run.
+    logging.basicConfig()
+    logging.getLogger("lamp_entropy").setLevel(level)
+
+
+def _cache_dir() -> str | None:
+    """The corpus cache directory: ``LAMP_ENTROPY_CACHE_DIR`` (None when it
+    is empty), else ``lamp-entropy`` in the user's cache directory."""
+    path = os.environ.get("LAMP_ENTROPY_CACHE_DIR")
+    if path is not None:
+        return path or None
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        try:
+            base = os.path.join(Path.home(), ".cache")
+        except RuntimeError as exc:
+            logger.info("corpus cache off (%s)", exc)
+            return None
+    return os.path.join(base, "lamp-entropy")
 
 
 def _write_json(path, doc: dict, config: dict) -> None:
@@ -227,7 +255,9 @@ def _write_lines(path, sequences, labels) -> None:
 def _load_corpus(args):
     if args.format == "tsv" and (args.group_col is None or args.item_col is None):
         raise ConfigError("tsv input needs --group-col and --item-col")
-    return load_sequences(args.input, args.format, args.group_col, args.item_col)
+    return load_sequences_cached(
+        args.input, args.format, args.group_col, args.item_col, cache_dir=_cache_dir()
+    )
 
 
 def _preprocessed_corpus(args):

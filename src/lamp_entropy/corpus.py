@@ -3,7 +3,9 @@
 A corpus is an immutable, encoded collection of token sequences: one
 flat array of state codes, the offsets where each sequence starts, and
 the vocabulary that maps codes to labels. Strings are mapped to codes
-once, when the corpus is read or built, and decoded only for output.
+once, when the corpus is read or built, and decoded only for output;
+:func:`load_sequences_cached` keeps each file's encoded corpus on disk,
+keyed by the file's bytes, so that a file is parsed once.
 Preprocessing collapses consecutive duplicates (so fitted matrices
 carry no self-loops) and pools rare tokens into a single placeholder;
 both are array passes over the codes.
@@ -11,7 +13,11 @@ both are array passes over the codes.
 
 from __future__ import annotations
 
+import json
 import logging
+import os
+import stat
+import tempfile
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -24,6 +30,14 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MIN_COUNT = 10
 DEFAULT_RARE_TOKEN = "__rare__"
+
+# Part of every cache key of load_sequences_cached. Bump it whenever
+# load_sequences can give another corpus for the same bytes, so that no
+# entry written by the older reader is read, and re-pin _READER_DIGEST:
+# tests/test_corpus.py hashes load_sequences' output on fixed inputs and
+# compares it with this digest.
+_CACHE_VERSION = 1
+_READER_DIGEST = "7db18816336e4de83b4d7fad13a644ba980ef0714fde6bf9283a00263ad9ebef"
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,6 +208,103 @@ def load_sequences(
                 groups.setdefault(cells[group_col], []).append(cells[item_col])
         return SequenceCorpus.from_sequences(groups.values())
     raise ValueError(f"unknown corpus format {fmt!r}")
+
+
+def load_sequences_cached(
+    path,
+    fmt: str = "lines",
+    group_col: int | None = None,
+    item_col: int | None = None,
+    *,
+    cache_dir,
+) -> SequenceCorpus:
+    """:func:`load_sequences`, through a cache of encoded corpora in ``cache_dir``.
+
+    An entry is keyed by the sha256 of a header (the cache version, the
+    Unicode version that ``str.split`` follows, ``fmt`` and, for TSV, the
+    columns) followed by the file's bytes, which every call hashes in
+    full. A hit loads the entry's arrays through the
+    :class:`SequenceCorpus` checks; a miss parses the file and writes the
+    entry, unless the file's bytes changed during the parse. Only regular
+    files are cached, and ``cache_dir=None`` parses only. A cache that
+    cannot be read or written is logged at INFO and the file is parsed:
+    the corpus, and every error a file raises, are the same either way.
+    """
+    if cache_dir is None:
+        return load_sequences(path, fmt, group_col, item_col)
+    try:
+        key = _cache_key(path, fmt, group_col, item_col)
+    except OSError as exc:  # the parse raises it again if the file cannot be read
+        logger.info("corpus cache skipped (%s)", exc)
+        return load_sequences(path, fmt, group_col, item_col)
+    entry = os.path.join(cache_dir, f"{key}.npz")
+    try:
+        corpus = _read_entry(entry)
+    except FileNotFoundError:
+        logger.info("corpus cache miss %s %s", key[:12], entry)
+    except Exception as exc:  # an unreadable entry is parsed again and rewritten
+        logger.info("corpus cache miss %s %s (%s: %s)", key[:12], entry, type(exc).__name__, exc)
+    else:
+        logger.info("corpus cache hit %s %s", key[:12], entry)
+        return corpus
+    corpus = load_sequences(path, fmt, group_col, item_col)
+    try:
+        if _cache_key(path, fmt, group_col, item_col) == key:
+            _write_entry(cache_dir, entry, corpus)
+        else:
+            logger.info("corpus cache entry not written: %s changed while it was read", path)
+    except Exception as exc:
+        logger.info("corpus cache entry not written (%s: %s)", type(exc).__name__, exc)
+    return corpus
+
+
+def _cache_key(path, fmt, group_col, item_col) -> str:
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        # A pipe cannot be read twice: once to hash it, once to parse it.
+        raise OSError(f"{path} is not a regular file")
+    # Imported here: importing the package does not pay for them.
+    import hashlib
+    import unicodedata
+
+    columns = (group_col, item_col) if fmt == "tsv" else ()
+    header = (_CACHE_VERSION, unicodedata.unidata_version, fmt, *columns)
+    digest = hashlib.sha256(f"{header!r}\n".encode())
+    # One reused buffer: a new bytes object per block made the hash about a third slower.
+    buffer = bytearray(1 << 20)
+    view = memoryview(buffer)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
+    return digest.hexdigest()
+
+
+def _read_entry(entry) -> SequenceCorpus:
+    # Opened here: np.load leaves a path's file open when the zip is bad.
+    with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+        arrays = npz["tokens"], npz["offsets"], npz["labels"]
+    for array, dtype in zip(arrays, (np.int32, np.int64, np.uint8)):
+        if array.dtype != dtype or array.ndim != 1:
+            raise ValueError(f"entry holds a {array.dtype} array of shape {array.shape}")
+    tokens, offsets, labels = arrays
+    labels = json.loads(labels.tobytes())
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise ValueError("entry's labels are not a list of strings")
+    return SequenceCorpus(tokens, offsets, StateSpace(tuple(labels)))
+
+
+def _write_entry(cache_dir, entry, corpus: SequenceCorpus) -> None:
+    # The labels go in as JSON bytes: a NumPy string array drops a label's trailing NULs.
+    labels = np.frombuffer(json.dumps(corpus.vocabulary.labels).encode(), dtype=np.uint8)
+    os.makedirs(cache_dir, mode=0o700, exist_ok=True)
+    # Written aside and renamed into place, so no reader sees a partial entry.
+    fd, scratch = tempfile.mkstemp(suffix=".tmp", dir=cache_dir)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, tokens=corpus.tokens, offsets=corpus.offsets, labels=labels)
+        os.replace(scratch, entry)
+    except BaseException:
+        os.unlink(scratch)
+        raise
 
 
 def dedupe_consecutive(corpus: SequenceCorpus) -> SequenceCorpus:

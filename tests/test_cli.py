@@ -1,13 +1,21 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+import shutil
+import stat
 import subprocess
 import sys
+import tempfile
+import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import lamp_entropy
 from lamp_entropy import (
@@ -23,11 +31,13 @@ from lamp_entropy import (
     simulate_markov,
     validate_stochastic,
 )
+from lamp_entropy import corpus as corpus_module
 from lamp_entropy.cli import build_parser, main
 from lamp_entropy.corpus import DEFAULT_MIN_COUNT
 from lamp_entropy.estimators import DEFAULT_SWEEP_EXPONENTS
 from lamp_entropy.fitting import DEFAULT_EM_MAX_ITER, DEFAULT_EM_TOL
 
+from test_corpus import corpus_files
 from test_markov import random_ergodic
 
 
@@ -414,6 +424,28 @@ class TestLogLevel:
         assert code == 0
         assert len(out.read_text().split()) == 10
 
+    def test_level_is_set_on_every_run(self, tmp_path, monkeypatch, caplog, cycle_corpus):
+        # basicConfig ignores its level once the root logger has a handler,
+        # as it has after a first run and under pytest.
+        argv = ["preprocess", "--input", cycle_corpus, "--min-count", 1, "--output", tmp_path / "c.lines"]
+
+        def messages():
+            found = [r.getMessage() for r in caplog.records if r.name.startswith("lamp_entropy")]
+            caplog.clear()
+            return found
+
+        monkeypatch.setenv("LAMP_ENTROPY_LOG_LEVEL", "info")
+        assert run(argv) == 0
+        first = messages()
+        assert first[0].startswith("corpus cache miss ")
+        assert [m.split()[1] for m in first[1:]] == ["input", "dedupe", "replace_rare", "dedupe"]
+        monkeypatch.setenv("LAMP_ENTROPY_LOG_LEVEL", "WARNING")
+        assert run(argv) == 0
+        assert messages() == []
+        monkeypatch.setenv("LAMP_ENTROPY_LOG_LEVEL", "INFO")
+        assert run(argv) == 0
+        assert messages()[0].startswith("corpus cache hit ")
+
     def test_unknown_level_is_a_config_error(self, tmp_path, capsys, monkeypatch, model_path):
         monkeypatch.setenv("LAMP_ENTROPY_LOG_LEVEL", "verbose")
         out = tmp_path / "s.lines"
@@ -424,6 +456,196 @@ class TestLogLevel:
         assert err["subcommand"] == "simulate"
         assert "verbose" in err["message"]
         assert not out.exists()
+
+
+def run_captured(args):
+    """Exit status, stdout and stderr of one CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+CORPUS_COMMANDS = [
+    ["preprocess", "--min-count", 1],
+    ["profile", "--max-lag", 1],
+    ["entropy", "--method", "markov", "--min-count", 1],
+]
+
+
+def corpus_runs(tmp, corpus_args, cache, cold=False):
+    """Each corpus command's exit status, stdout, stderr and artifact bytes,
+    with LAMP_ENTROPY_CACHE_DIR set to ``cache``; ``cold`` empties the
+    cache before every command."""
+    results = []
+    for command in CORPUS_COMMANDS:
+        if cold:
+            shutil.rmtree(cache, ignore_errors=True)
+        out = tmp / "out"
+        out.mkdir()
+        with mock.patch.dict(os.environ, {"LAMP_ENTROPY_CACHE_DIR": str(cache)}):
+            status = run_captured([*command, *corpus_args, "--output", out / "artifact"])
+        results.append((status, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        shutil.rmtree(out)
+    return results
+
+
+def entries(cache):
+    return sorted(p.name for p in Path(cache).iterdir()) if Path(cache).exists() else []
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The arguments of every load_sequences call the CLI makes."""
+    calls = []
+
+    def parse(*args):
+        calls.append(args)
+        return load_sequences(*args)
+
+    monkeypatch.setattr(corpus_module, "load_sequences", parse)
+    return calls
+
+
+class TestCorpusCache:
+    @settings(max_examples=30, deadline=None)
+    @given(corpus_files())
+    def test_same_bytes_cold_warm_and_off(self, case):
+        data, fmt, cols = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "corpus").write_bytes(data)
+            args = ["--input", tmp / "corpus", "--format", fmt]
+            if fmt == "tsv":
+                args += ["--group-col", cols[0], "--item-col", cols[1]]
+            off = corpus_runs(tmp, args, "")
+            assert not (tmp / "cache").exists()
+            assert corpus_runs(tmp, args, tmp / "cache", cold=True) == off
+            assert corpus_runs(tmp, args, tmp / "cache") == off
+
+    def test_hit_parses_nothing(self, tmp_path, corpus_cache, parses):
+        path = tmp_path / "corpus.lines"
+        path.write_text(pinned_corpus_text(), encoding="utf-8")
+        for i in range(3):
+            assert run(["fit", "--input", path, "--min-count", 3, "--k", 2, "--max-iter", 3,
+                        "--output", tmp_path / f"model{i}.json"]) == 0
+        assert len(parses) == 1
+        assert len(entries(corpus_cache)) == 1
+        assert (tmp_path / "model0.json").read_bytes() == (tmp_path / "model2.json").read_bytes()
+
+    def test_changed_byte_or_swapped_columns_is_a_miss(self, tmp_path, corpus_cache, parses):
+        path = tmp_path / "c.tsv"
+        out = tmp_path / "profile.csv"
+        path.write_text("u1\tx\nu1\ty\nu2\tx\n", encoding="utf-8")
+        tsv = ["--input", path, "--format", "tsv", "--max-lag", 1, "--output", out]
+        assert run(["profile", *tsv, "--group-col", 0, "--item-col", 1]) == 0
+        assert run(["profile", *tsv, "--group-col", 1, "--item-col", 0]) == 0
+        path.write_text("u1\tx\nu1\ty\nu2\tz\n", encoding="utf-8")
+        assert run(["profile", *tsv, "--group-col", 0, "--item-col", 1]) == 0
+        assert len(parses) == 3
+        assert len(entries(corpus_cache)) == 3
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped"])
+    def test_damaged_entry_is_parsed_again_and_rewritten(self, tmp_path, corpus_cache, parses, damage):
+        path = tmp_path / "corpus.lines"
+        path.write_text(pinned_corpus_text(), encoding="utf-8")
+        argv = ["profile", "--input", path, "--max-lag", 2, "--output", tmp_path / "p.csv"]
+        assert run(argv) == 0
+        first = (tmp_path / "p.csv").read_bytes()
+        [name] = entries(corpus_cache)
+        entry = corpus_cache / name
+        data = entry.read_bytes()
+        if damage == "truncated":
+            entry.write_bytes(data[: len(data) // 2])
+        else:
+            # One bit of the token codes: only the zip CRC tells.
+            at = data.index(load_sequences(path).tokens.tobytes()) + 100
+            entry.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :])
+        assert run(argv) == 0
+        assert len(parses) == 2
+        assert entry.read_bytes() == data
+        assert (tmp_path / "p.csv").read_bytes() == first
+        assert run(argv) == 0
+        assert len(parses) == 2
+
+    def test_cache_dir_that_is_a_file_falls_back(self, tmp_path, monkeypatch, cycle_corpus):
+        # chmod would not stop a root user; a path through a file stops everyone.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory", encoding="utf-8")
+        args = ["--input", cycle_corpus]
+        off = corpus_runs(tmp_path, args, "")
+        assert all(err == "" for (_, _, err), _ in off)
+        for cache in (blocker, blocker / "sub"):
+            assert corpus_runs(tmp_path, args, cache) == off
+        assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+    def test_unreadable_corpus_leaves_no_entry(self, tmp_path, corpus_cache):
+        path = tmp_path / "c.lines"
+        for content, error in ((b"a b \377 a b\n", "MalformedFileError"), (b"\n \n", "EmptyCorpusError")):
+            path.write_bytes(content)
+            code, _, err = run_captured(["entropy", "--input", path, "--method", "markov",
+                                         "--output", tmp_path / "r.json"])
+            assert code == 1
+            [line] = err.splitlines()
+            assert json.loads(line)["error"] == error
+            assert entries(corpus_cache) == []
+
+    def test_pipe_is_parsed_once_and_not_cached(self, tmp_path, corpus_cache, parses):
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.write("a b a b a\nb a b\n")
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            code = run(["profile", "--input", fifo, "--max-lag", 1, "--output", tmp_path / "p.csv"])
+        finally:
+            # Unblocks the writer if the run never opened the pipe.
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(10)
+        assert code == 0
+        assert len(parses) == 1
+        assert entries(corpus_cache) == []
+
+    def test_where_the_cache_lives(self, tmp_path, monkeypatch, cycle_corpus):
+        home, xdg = tmp_path / "home", tmp_path / "xdg"
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+        argv = ["profile", "--input", cycle_corpus, "--max-lag", 1, "--output", tmp_path / "p.csv"]
+        monkeypatch.setenv("LAMP_ENTROPY_CACHE_DIR", "")
+        assert run(argv) == 0
+        assert not home.exists() and not xdg.exists()
+        monkeypatch.delenv("LAMP_ENTROPY_CACHE_DIR")
+        assert run(argv) == 0
+        assert len(entries(xdg / "lamp-entropy")) == 1
+        assert stat.S_IMODE((xdg / "lamp-entropy").stat().st_mode) == 0o700
+        # A relative XDG_CACHE_HOME is ignored, as the XDG spec asks.
+        for value in ("", "relative"):
+            monkeypatch.setenv("XDG_CACHE_HOME", value)
+            assert run(argv) == 0
+            assert len(entries(home / ".cache" / "lamp-entropy")) == 1
+        assert not Path("relative").exists()
+        # With no home directory to cache under, the run parses only.
+        shutil.rmtree(home)
+
+        def no_home():
+            raise RuntimeError("Could not determine home directory.")
+
+        monkeypatch.setattr(Path, "home", no_home)
+        assert run(argv) == 0
+        assert not home.exists()
+
+    def test_import_loads_no_hash_module(self):
+        code = (
+            "import sys, lamp_entropy, lamp_entropy.cli; "
+            "print(sorted({'hashlib', 'unicodedata'} & set(sys.modules)))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(lamp_entropy.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.stdout.strip() == "[]", done.stderr
 
 
 class TestProfile:

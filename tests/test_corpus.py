@@ -1,6 +1,11 @@
+import hashlib
+import json
 import logging
+import os
+import tempfile
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +23,8 @@ from lamp_entropy import (
     preprocess,
     replace_rare,
 )
-from lamp_entropy.corpus import _distinct, lagged_pair_counts
+from lamp_entropy import corpus as corpus_module
+from lamp_entropy.corpus import _distinct, lagged_pair_counts, load_sequences_cached
 
 tokens_strategy = st.lists(
     st.lists(st.sampled_from("abcd"), min_size=1, max_size=30), min_size=1, max_size=8
@@ -98,6 +104,133 @@ class TestLoadSequences:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_sequences(tmp_path / "nope.lines")
+
+
+# Separators that str.split breaks on besides the space: file iteration
+# ends a line only at "\n" and "\r", so these stay inside a line.
+SEPARATORS = [" ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u3000"]
+label_chars = st.sampled_from(["a", "b", "é", "字", "\x00", "\ufeff", "😀"])
+
+
+@st.composite
+def corpus_files(draw):
+    """The bytes of a Lines or TSV corpus, its format and its columns:
+    non-ASCII labels, NULs, blank lines, Unicode separators and maybe a
+    byte-order mark and CRLF line ends."""
+    label = st.text(label_chars, min_size=1, max_size=3)
+    if draw(st.booleans()):
+        lines = [
+            "".join(tok + draw(st.sampled_from(SEPARATORS)) for tok in draw(st.lists(label, max_size=5)))
+            for _ in range(draw(st.integers(0, 6)))
+        ]
+        fmt, cols = "lines", (None, None)
+    else:
+        # A TSV item may hold spaces and end in a NUL; a row may be blank.
+        item = st.text(st.sampled_from(["a", "é", " ", "\u3000", "\x00"]), min_size=1, max_size=3)
+        rows = st.tuples(st.sampled_from(["u1", "u2", "ü3"]), item)
+        lines = [
+            f"{g}\t{i}" if draw(st.integers(0, 5)) else "" for g, i in draw(st.lists(rows, max_size=8))
+        ]
+        fmt, cols = "tsv", draw(st.sampled_from([(0, 1), (1, 0)]))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + text).encode("utf-8"), fmt, cols
+
+
+def assert_same_corpus(got, want):
+    for name in ("tokens", "offsets"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got.vocabulary.labels == want.vocabulary.labels
+
+
+def corpus_digest(corpus):
+    digest = hashlib.sha256()
+    for array in (corpus.tokens, corpus.offsets):
+        digest.update(array.dtype.str.encode() + array.tobytes())
+    digest.update(json.dumps(corpus.vocabulary.labels).encode())
+    return digest.hexdigest()
+
+
+# load_sequences' reading of whitespace, line ends, byte-order marks and
+# NULs, which every cache entry records the outcome of.
+READER_PIN_FILES = [
+    ("lines", (None, None),
+     "\ufeffa b\x1cc\x1dd\x1ee\x1ff\u3000g\x85h i\x0bj\x0ck\r\n\n \t\nl\x00 \x00m é字\rn\ufeff\n"),
+    ("tsv", (0, 2),
+     "\ufeffu1\tx\ta\x00\r\nu2\ty\tb c\u3000\n\n\x1c\t\n u1\tz\t\x00\x00\nu2\tw\té\x85\ttail\n"),
+]
+
+
+class TestCorpusCache:
+    @settings(max_examples=80, deadline=None)
+    @given(corpus_files())
+    def test_hit_is_the_parse(self, case):
+        data, fmt, cols = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "corpus")
+            cache = os.path.join(tmp, "cache")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                want = load_sequences(path, fmt, *cols)
+            except EmptyCorpusError:
+                with pytest.raises(EmptyCorpusError):
+                    load_sequences_cached(path, fmt, *cols, cache_dir=cache)
+                assert not os.path.exists(cache)
+                return
+            assert_same_corpus(load_sequences_cached(path, fmt, *cols, cache_dir=cache), want)
+            [entry] = os.listdir(cache)
+            with mock.patch.object(corpus_module, "load_sequences") as parse:
+                got = load_sequences_cached(path, fmt, *cols, cache_dir=cache)
+            parse.assert_not_called()
+            assert_same_corpus(got, want)
+            assert os.listdir(cache) == [entry]
+
+    def test_reader_semantics_are_pinned(self, tmp_path):
+        digests = []
+        for fmt, cols, text in READER_PIN_FILES:
+            path = tmp_path / f"pin.{fmt}"
+            path.write_bytes(text.encode("utf-8"))
+            digests.append(corpus_digest(load_sequences(path, fmt, *cols)))
+        assert corpus_module._READER_DIGEST == hashlib.sha256(" ".join(digests).encode()).hexdigest(), (
+            "load_sequences reads these files differently now, so cache entries written "
+            "before this change would serve other corpora: bump corpus._CACHE_VERSION and "
+            "re-pin corpus._READER_DIGEST"
+        )
+
+    def test_none_parses_only(self, tmp_path):
+        path = tmp_path / "c.lines"
+        path.write_text("a b\n", encoding="utf-8")
+        with mock.patch.object(corpus_module, "load_sequences", wraps=load_sequences) as parse:
+            for _ in range(2):
+                assert load_sequences_cached(path, cache_dir=None).sequences == (("a", "b"),)
+        assert parse.call_count == 2
+
+    def test_file_changed_during_the_parse_is_not_cached(self, tmp_path):
+        path = tmp_path / "c.lines"
+        path.write_text("a b\n", encoding="utf-8")
+        cache = tmp_path / "cache"
+
+        def parse_then_rewrite(*args):
+            corpus = load_sequences(*args)
+            path.write_text("a c\n", encoding="utf-8")
+            return corpus
+
+        with mock.patch.object(corpus_module, "load_sequences", parse_then_rewrite):
+            corpus = load_sequences_cached(path, cache_dir=cache)
+        assert corpus.sequences == (("a", "b"),)
+        assert not cache.exists()
+
+    def test_labels_that_end_in_nul_survive_a_hit(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("u\ta\x00\nu\tb\x00\x00\nv\t\x00\n", encoding="utf-8")
+        cache = tmp_path / "cache"
+        load_sequences_cached(path, "tsv", 0, 1, cache_dir=cache)
+        with mock.patch.object(corpus_module, "load_sequences") as parse:
+            corpus = load_sequences_cached(path, "tsv", 0, 1, cache_dir=cache)
+        parse.assert_not_called()
+        assert corpus.vocabulary.labels == ("a\x00", "b\x00\x00", "\x00")
 
 
 class TestDedupeConsecutive:
