@@ -731,6 +731,13 @@ PINNED_ARTIFACTS = {
     "clean.lines.report.json": "b240faa68b81b25ed77b54385b4fb6cf114b356159bb1cdfcc4d1d63ad6544ff",
     "clean.lines.run.json": "106e3bdab8aeb1fa8829c7152b63ca0ea8d90eb241d1c3af4f7ba7f2b8835d1e",
     "entropy.json": "8d3db492674ff7a9172a78ebfcd10170ee9818bd86555f018db5df0ebf87ae70",
+    # Recorded before the matrix came to hold its own edges, row entropies
+    # and condensation, which every law and rate below now reads.
+    "entropy-lamp-induced.json": "4fc9a03e3d614589bfcfd552ca2c639829911d05a1960b0e692e4a3496f82fa6",
+    "entropy-lamp-largest-cc.json": "8cc480aa46132144c7b518d198da88f9ce32b36ae86b94648e7965ab3ef7330d",
+    "entropy-markov-largest-cc.json": "9d8d7da14e5d34029df24ffa7515ebfeccac43ce4f86af844e24f0495067afba",
+    "entropy-stationary-induced.json": "54c0bb78b560a8fc21bf1b85fe47cd1d799e6b5c6f34ad1baa315b1637847884",
+    "entropy-stationary-largest-cc.json": "4636e410338c2a23b91e3e22d792442b816dcc38bce18c5df3d222c0c73d6128",
     # Re-recorded when EM's round began to sum lag-major: the 15-round k=2
     # fit's rows moved by at most 8.4e-17, its kernel by 2.3e-16 and its
     # trace by 4.5e-16 relative; its iterations and flag did not move.
@@ -749,6 +756,13 @@ def test_artifact_bytes_pinned(tmp_path, monkeypatch):
     common = ["--input", "corpus.lines", "--min-count", "3"]
     assert main(["preprocess", *common, "--output", "clean.lines"]) == 0
     assert main(["entropy", *common, "--method", "markov", "--output", "entropy.json"]) == 0
+    lamp = ["--k", "2", "--max-iter", "15", "--tol", "0"]
+    for method, flags in (("markov", []), ("stationary", []), ("lamp", lamp)):
+        for conditioning in ("induced", "largest-cc"):
+            if (method, conditioning) != ("markov", "induced"):
+                out = f"entropy-{method}-{conditioning}.json"
+                assert main(["entropy", *common, "--method", method, *flags,
+                             "--conditioning", conditioning, "--output", out]) == 0
     assert main(["fit", *common, "--k", "2", "--max-iter", "15", "--tol", "0",
                  "--output", "model.json"]) == 0
     assert main(["sweep", *common, "--output", "sweep.csv"]) == 0
