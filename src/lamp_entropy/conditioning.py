@@ -11,8 +11,9 @@ tells the strategies apart.
 Under the artificial state this module defines the induced chain, its
 law ``[x, p]/(1 + p)`` and its rate formula; ``x(p)`` and ``x(p)·h``
 come certified from the solver of :mod:`lamp_entropy.markov`, without
-building the (n+1)-state chain. :func:`induce_irreducibility` builds it
-for callers that want the matrix itself.
+building the (n+1)-state chain, from the edges, ``h`` and condensation a
+matrix finds once; each solve gathers its dense blocks. The chain itself
+is built by :func:`induce_irreducibility`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from .errors import DegenerateComponentError, InvalidProbabilityError
 from .markov import StateSpace, TransitionMatrix, _Blocks, _edges, _tarjan
+from .markov import entropy_rate, stationary_distribution
 
 ARTIFICIAL_STATE_LABEL = "__artificial__"
 DEFAULT_P_ARTIFICIAL = 2.0**-15
@@ -60,16 +62,13 @@ class LargestCC:
         restricted, _, excluded = restrict_to_largest_scc(matrix)
         return restricted, _step_report("largest_scc", excluded, None, matrix.n, restricted.n)
 
-    # The restriction keeps the component's edges: it is solved as one
-    # class, not condensed a second time.
     def _law(self, matrix: TransitionMatrix) -> tuple[np.ndarray, dict]:
         restricted, report = apply_conditioning(matrix, self)
-        return _Blocks(restricted.rows, irreducible=True).stationary(0.0), report
+        return stationary_distribution(restricted).probs, report
 
     def _rate(self, matrix: TransitionMatrix) -> tuple[float, dict]:
         restricted, report = apply_conditioning(matrix, self)
-        blocks = _Blocks(restricted.rows, irreducible=True)
-        return max(0.0, float(blocks.stationary(0.0) @ blocks.h)), report
+        return entropy_rate(restricted, stationary_distribution(restricted)), report
 
 
 @dataclass(frozen=True)
@@ -79,15 +78,16 @@ class Induced:
     p_artificial: float = DEFAULT_P_ARTIFICIAL
     name: ClassVar[str] = "induced"
 
+    def __post_init__(self) -> None:
+        _check_p_artificial(self.p_artificial)
+
     def _apply(self, matrix: TransitionMatrix) -> tuple[TransitionMatrix, dict]:
         return induce_irreducibility(matrix, self.p_artificial), self._report(matrix)
 
     def _law(self, matrix: TransitionMatrix) -> tuple[np.ndarray, dict]:
         """The law of the (n+1)-state chain, ``[x(p), p]/(1 + p)``, from the block solve."""
         p = self.p_artificial
-        _check_p_artificial(p)
-        x = _Blocks(matrix.rows).stationary(p)
-        return np.append(x, p) / (1.0 + p), self._report(matrix)
+        return np.append(_Blocks(matrix).stationary(p), p) / (1.0 + p), self._report(matrix)
 
     def _rate(self, matrix: TransitionMatrix) -> tuple[float, dict]:
         return induced_entropy_rates(matrix, [self.p_artificial])[0], self._report(matrix)
@@ -176,7 +176,7 @@ def induced_entropy_rates(matrix: TransitionMatrix, p_values) -> list[float]:
     for p in p_values:
         _check_p_artificial(p)
     log2_n = math.log2(matrix.n)
-    return [_rate(p, xh, log2_n) for p, xh in zip(p_values, _Blocks(matrix.rows).rates(p_values))]
+    return [_rate(p, xh, log2_n) for p, xh in zip(p_values, _Blocks(matrix).rates(p_values))]
 
 
 def _rate(p: float, xh: float, log2_n: float) -> float:
@@ -192,6 +192,10 @@ def apply_conditioning(
     """Apply a conditioning strategy; returns the new matrix and its report:
     the method, excluded state count, artificial weight (or null), and the
     state counts before and after."""
+    _check_strategy(strategy)
+    return strategy._apply(matrix)
+
+
+def _check_strategy(strategy) -> None:
     if not isinstance(strategy, (LargestCC, Induced)):
         raise TypeError(f"unknown conditioning strategy {strategy!r}")
-    return strategy._apply(matrix)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCorpusError, MalformedRowError, RareTokenCollisionError, malformed_file
-from .markov import StateSpace
+from .markov import StateSpace, _read_only
 
 logger = logging.getLogger(__name__)
 
@@ -69,11 +69,8 @@ class SequenceCorpus:
             raise ValueError("offsets must rise from 0 to the number of tokens")
         if tokens.shape[0] and (tokens.min() < 0 or tokens.max() >= self.vocabulary.n):
             raise ValueError("token codes must index the vocabulary")
-        tokens, offsets = tokens.astype(np.int32), offsets.astype(np.int64)
-        tokens.flags.writeable = False
-        offsets.flags.writeable = False
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "tokens", _read_only(tokens.astype(np.int32)))
+        object.__setattr__(self, "offsets", _read_only(offsets.astype(np.int64)))
 
     @classmethod
     def from_sequences(cls, sequences) -> "SequenceCorpus":

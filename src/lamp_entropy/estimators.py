@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .conditioning import Induced, LargestCC, induced_entropy_rates
+from .conditioning import Induced, LargestCC, _check_strategy, induced_entropy_rates
 from .corpus import SequenceCorpus
 from .errors import (
     EmptyCorpusError,
@@ -121,6 +121,7 @@ def stationary_distribution_estimate(
     if conditioning is None:
         probs, report = stationary_distribution(matrix, check_irreducible=True).probs, None
     else:
+        _check_strategy(conditioning)
         probs, report = conditioning._law(matrix)
     return EntropyReport(
         EstimatorMethod.STATIONARY_DISTRIBUTION, shannon_entropy(probs), conditioning=report
@@ -131,6 +132,7 @@ def markov_plugin_estimate(
     corpus: SequenceCorpus, conditioning: LargestCC | Induced
 ) -> EntropyReport:
     """Entropy rate of the first-order fit after conditioning."""
+    _check_strategy(conditioning)
     fitted = fit_first_order(corpus, smoothing=0.0)
     bits, report = conditioning._rate(fitted)
     return EntropyReport(EstimatorMethod(f"markov_{conditioning.name}"), bits, conditioning=report)
@@ -150,6 +152,7 @@ def lamp_plugin_estimate(
     The fitted kernel is reported in the details but does not enter the
     value: the entropy rate depends on the transition matrix alone.
     """
+    _check_strategy(conditioning)
     fit = fit_lamp_em(corpus, k, init=init, max_iter=max_iter, tol=tol)
     bits, report = conditioning._rate(fit.model.matrix)
     return EntropyReport(

@@ -20,6 +20,7 @@ from .markov import (
     _check_probabilities,
     _chunks,
     _inverse_cdf,
+    _read_only,
     _spans,
     _start,
     _walk,
@@ -43,9 +44,7 @@ class KernelDistribution:
         if w.ndim != 1 or w.size < 1:
             raise ValueError("kernel weights must be a non-empty 1-D vector")
         _check_probabilities(w, "kernel weights")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _read_only(w.copy()))
 
     @property
     def k(self) -> int:
@@ -148,8 +147,7 @@ def lamp_entropy_rate(model: LampModel) -> float:
     lag kernel does not enter the value. A reducible matrix raises
     :class:`NotIrreducibleError`.
     """
-    pi = stationary_distribution(model.matrix, check_irreducible=True)
-    return entropy_rate(model.matrix, pi)
+    return entropy_rate(model.matrix, stationary_distribution(model.matrix, check_irreducible=True))
 
 
 def step_log2_probs(model: LampModel, sequence) -> np.ndarray:

@@ -1,12 +1,12 @@
 """First-order Markov chains over a finite, labelled state space.
 
-Transition matrices are validated, immutable, row-stochastic arrays.
-Every stationary law and every rate's ``x(p)·h`` comes from one
-certified solver per block of the SCC condensation (``_Blocks``); the
-entropy rate is reported in bits per symbol throughout. Every JSON
-artifact of the package is written by :func:`write_json` as
-:func:`encode_json` encodes it, and every CSV artifact by
-:func:`write_csv`.
+Transition matrices are validated, immutable, row-stochastic arrays
+that find their edges, row entropies ``h`` and SCC condensation once.
+Every law and every rate's ``x(p)·h`` comes from one certified solver
+per block of it; each solve gathers its dense blocks (``_Blocks``).
+Rates are in bits per symbol. Every JSON artifact of the package is
+written by :func:`write_json` as :func:`encode_json` encodes it, and
+every CSV artifact by :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -116,13 +116,9 @@ class TransitionMatrix:
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise NonSquareError(f"expected a square matrix, got shape {rows.shape}")
         if rows.shape[0] != self.states.n:
-            raise DimensionMismatchError(
-                f"{self.states.n} labels for a {rows.shape[0]}-row matrix"
-            )
+            raise DimensionMismatchError(f"{self.states.n} labels for a {rows.shape[0]}-row matrix")
         _check_probabilities(rows, "transition probabilities")
-        rows = rows.copy()
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", _read_only(rows.copy()))
 
     @property
     def n(self) -> int:
@@ -131,6 +127,40 @@ class TransitionMatrix:
     @property
     def labels(self) -> tuple[str, ...]:
         return self.states.labels
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row starts and columns of the positive cells (:func:`_edges`)."""
+        return tuple(map(_read_only, _edges(self.rows)))
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """Each row's entropy ``-sum_j P_ij log2 P_ij`` in bits, over :attr:`edges`."""
+        starts, targets = self.edges
+        sources = np.repeat(np.arange(self.n), np.diff(starts))
+        probs = self.rows[sources, targets]
+        return _read_only(np.bincount(sources, weights=-probs * np.log2(probs), minlength=self.n))
+
+    @cached_property
+    def condensation(self) -> tuple[int, np.ndarray, tuple[np.ndarray, ...]]:
+        """The number of SCCs, the transient states (those whose component
+        has an edge leaving it) and the closed classes, each sorted, from
+        one :func:`_tarjan` over :attr:`edges`."""
+        starts, targets = self.edges
+        components, component_of = _tarjan(starts, targets)
+        label = np.array(component_of)
+        source_label = np.repeat(label, np.diff(starts))
+        is_open = np.zeros(len(components), dtype=bool)
+        is_open[source_label[source_label != label[targets]]] = True
+        transient = _read_only(np.flatnonzero(is_open[label]))
+        closed = [np.sort(members) for cid, members in enumerate(components) if not is_open[cid]]
+        return len(components), transient, tuple(map(_read_only, closed))
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """``values``, no longer writeable: an array that a frozen object holds."""
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)
@@ -145,9 +175,7 @@ class StationaryDistribution:
         if probs.ndim != 1 or probs.shape[0] != self.states.n:
             raise DimensionMismatchError("probability vector does not match state space")
         _check_probabilities(probs, "stationary probabilities")
-        probs = probs.copy()
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _read_only(probs.copy()))
 
 
 def validate_stochastic(raw, labels) -> TransitionMatrix:
@@ -285,67 +313,37 @@ def _tarjan(starts: np.ndarray, targets: np.ndarray) -> tuple[list[list[int]], l
     return components, component_of
 
 
-def _row_entropies(rows: np.ndarray, starts: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """``-sum_j P_ij log2 P_ij`` of each row, summed over the edges of :func:`_edges`."""
-    sources = np.repeat(np.arange(rows.shape[0]), np.diff(starts))
-    probs = rows[sources, targets]
-    return np.bincount(sources, weights=-probs * np.log2(probs), minlength=rows.shape[0])
-
-
 class _Blocks:
-    """A chain's SCC condensation, set up once to solve, at any ``p``, for
-    ``x(p) = p·u(I - cP)^-1`` (``c = 1 - p``, ``u`` uniform): the law of
-    the chain that restarts uniformly with probability ``p``.
+    """A matrix's dense blocks, gathered for one call that solves, at any
+    ``p``, for ``x(p) = p·u(I - cP)^-1`` (``c = 1 - p``, ``u`` uniform):
+    the law of the chain that restarts uniformly with probability ``p``.
 
-    States whose component has an edge leaving it are transient (``T``),
-    the rest form closed classes. Blocks are stored transposed (``x·A =
-    b`` is solved as ``A^T·x = b``). The edges and the row entropies
-    ``h`` are lazy. ``irreducible`` declares the chain one class, as a
-    restriction to an SCC is by construction, and skips the condensation.
+    The split comes from the matrix's :attr:`~TransitionMatrix.condensation`:
+    transient states (``T``) and closed classes. Blocks are stored
+    transposed (``x·A = b`` is solved as ``A^T·x = b``). The row
+    entropies ``h`` are the matrix's own. The dense blocks are gathered
+    per call, not kept with the matrix, so a held matrix pins no copy.
     """
 
-    def __init__(self, rows: np.ndarray, irreducible: bool = False):
-        n = rows.shape[0]
-        self.rows, self.u = rows, 1.0 / n
-        self.n_components = 1
-        self.transient = np.arange(0)
-        classes = [np.arange(n)]
-        if not irreducible:
-            starts, targets = self.edges
-            components, component_of = _tarjan(starts, targets)
-            label = np.array(component_of)
-            source_label = np.repeat(label, np.diff(starts))
-            is_open = np.zeros(len(components), dtype=bool)
-            is_open[source_label[source_label != label[targets]]] = True
-            classes = [
-                np.sort(members) for cid, members in enumerate(components) if not is_open[cid]
-            ]
-            self.n_components = len(components)
-            self.transient = transient = np.flatnonzero(is_open[label])
-            if transient.size:
-                self.p_tt = rows[np.ix_(transient, transient)].T
-                self.p_tc = rows[np.ix_(transient, np.concatenate(classes))]
+    def __init__(self, matrix: TransitionMatrix):
+        rows, self.matrix, self.u = matrix.rows, matrix, 1.0 / matrix.n
+        _, self.transient, classes = matrix.condensation
+        if self.transient.size:
+            self.p_tt = rows[np.ix_(self.transient, self.transient)].T
+            self.p_tc = rows[np.ix_(self.transient, np.concatenate(classes))]
         # Per class: its states, its columns of P_TC, and P_CC.
         bounds = [0, *accumulate(members.size for members in classes)]
         self.closed = [
-            (cls, slice(a, b), rows.T if cls.size == n else rows[np.ix_(cls, cls)].T)
+            (cls, slice(a, b), rows.T if cls.size == matrix.n else rows[np.ix_(cls, cls)].T)
             for cls, a, b in zip(classes, bounds, bounds[1:])
         ]
-
-    @cached_property
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        return _edges(self.rows)
-
-    @cached_property
-    def h(self) -> np.ndarray:
-        return _row_entropies(self.rows, *self.edges)
 
     def inflow(self, p: float) -> tuple[np.ndarray | None, np.ndarray, float]:
         """``z_T = u_T(I - cP_TT)^-1`` (``None`` when skipped), the inflow
         ``c·z_T·P_TC`` into the closed states and the mass ``p·sum(z_T)``.
         The solve is skipped without transient states, and at ``p = 0``
         with one closed class, which then holds all the mass."""
-        n, t = self.rows.shape[0], self.transient.size
+        n, t = self.matrix.n, self.transient.size
         if not t or (p == 0.0 and len(self.closed) == 1):
             return None, np.zeros(n - t), 0.0
         z_t = _solve(_identity_minus(1.0 - p, self.p_tt), np.full(t, self.u))
@@ -402,7 +400,7 @@ class _Blocks:
                 w.fill(np.nan)
             pi = w.sum(axis=0) / size
             w -= pi @ w - pi
-            h = self.h[members]
+            h = self.matrix.h[members]
             q, top = tops[0], 0
             terms = [w @ h]
             norms = [np.abs(terms[0]).max()]
@@ -436,7 +434,7 @@ class _Blocks:
             return [self.rate(p) for p in p_values]
         p = np.array(p_values)
         c = 1.0 - p
-        h_t = self.h[self.transient]
+        h_t = self.matrix.h[self.transient]
         z_t, inflow, mass = zip(*map(self.inflow, p_values))
         xh = np.array([0.0 if z is None else p_j * (z @ h_t) for p_j, z in zip(p_values, z_t)])
         inflow, mass, bound = np.array(inflow), np.array(mass), np.zeros(p.size)
@@ -445,7 +443,7 @@ class _Blocks:
         ):
             # s = sum_k (-p)^k g_k; a point beyond q diverges and is not summed.
             s = np.power.outer(-np.minimum(p, q) / q, np.arange(len(terms))) @ terms
-            r = s - c[:, None] * (s @ p_cc) + (c[:, None] * pi_h - self.h[members])
+            r = s - c[:, None] * (s @ p_cc) + (c[:, None] * pi_h - self.matrix.h[members])
             bound += np.where(p > q, np.inf, m_c * np.abs(r).max(axis=1))
             xh += c * m_c * pi_h + p * ((self.u + inflow[:, part]) * s).sum(axis=1)
             mass += m_c
@@ -457,9 +455,9 @@ class _Blocks:
     def rate(self, p: float) -> float:
         """The certified ``x(p)·h`` at one ``p`` from the block solve: the reference."""
         z_t, x_closed, mass = self.solve(p)
-        xh = 0.0 if z_t is None else p * (z_t @ self.h[self.transient])
+        xh = 0.0 if z_t is None else p * (z_t @ self.matrix.h[self.transient])
         for (members, _, _), x_c in zip(self.closed, x_closed):
-            xh += x_c @ self.h[members]
+            xh += x_c @ self.matrix.h[members]
         return _certified(p, mass, "x·h", xh)
 
     def stationary(self, p: float) -> np.ndarray:
@@ -470,7 +468,7 @@ class _Blocks:
         this raises :class:`IllConditionedError`.
         """
         z_t, x_closed, mass = self.solve(p)
-        rows = self.rows
+        rows = self.matrix.rows
         x = np.zeros(rows.shape[0])
         if z_t is not None:
             x[self.transient] = p * z_t
@@ -553,10 +551,9 @@ def stationary_distribution(
     :class:`IllConditionedError`. With ``check_irreducible``, a reducible
     chain raises :class:`NotIrreducibleError`.
     """
-    blocks = _Blocks(matrix.rows)
-    if check_irreducible and blocks.n_components > 1:
+    if check_irreducible and matrix.condensation[0] > 1:
         raise NotIrreducibleError("transition matrix is reducible")
-    return StationaryDistribution(matrix.states, blocks.stationary(0.0))
+    return StationaryDistribution(matrix.states, _Blocks(matrix).stationary(0.0))
 
 
 def entropy_rate(matrix: TransitionMatrix, stationary: StationaryDistribution) -> float:
@@ -567,7 +564,7 @@ def entropy_rate(matrix: TransitionMatrix, stationary: StationaryDistribution) -
     """
     if stationary.states.labels != matrix.states.labels:
         raise DimensionMismatchError("stationary distribution is for a different state space")
-    value = float(stationary.probs @ _row_entropies(matrix.rows, *_edges(matrix.rows)))
+    value = float(stationary.probs @ matrix.h)
     return value if value > 0.0 else 0.0
 
 
@@ -614,7 +611,7 @@ def _walk(matrix: TransitionMatrix, first: int, blocks) -> list[str]:
     every = list(range(matrix.n))
     cells = [
         (cum.tolist(), every if cols.size == matrix.n else cols.tolist())
-        for cum, cols in _inverse_cdf(matrix.rows)
+        for cum, cols in _inverse_cdf(matrix.rows, matrix.edges)
     ]
     states = [first]
     append = states.append
@@ -646,10 +643,10 @@ def _start(matrix: TransitionMatrix, n_steps: int, seed, init) -> tuple[np.rando
     return rng, idx
 
 
-def _inverse_cdf(probs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _inverse_cdf(probs: np.ndarray, edges=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per row of ``probs`` (a stochastic matrix, or one probability
-    vector): the cumulative sums at its positive cells, found by
-    :func:`_edges`, and those cells' columns.
+    vector): the cumulative sums at its positive cells, ``edges`` or else
+    those :func:`_edges` finds, and those cells' columns.
 
     The sums are the dense row's cumulative sums, and a uniform draw
     ``u`` maps to the first positive cell whose sum is >= ``u``. That is
@@ -660,7 +657,7 @@ def _inverse_cdf(probs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     on the row's last positive cell.
     """
     rows = np.atleast_2d(probs)
-    starts, cols = _edges(rows)
+    starts, cols = _edges(rows) if edges is None else edges
     cum = np.cumsum(rows, axis=1)[np.repeat(np.arange(rows.shape[0]), np.diff(starts)), cols]
     cum[starts[1:] - 1] = np.inf
     bounds = starts.tolist()

@@ -250,6 +250,11 @@ class TestInduceIrreducibility:
             with pytest.raises(InvalidProbabilityError):
                 induce_irreducibility(P, p)
 
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_strategy_checks_its_weight_when_made(self, p):
+        with pytest.raises(InvalidProbabilityError):
+            Induced(p)
+
     def test_label_collision_is_avoided(self):
         P = validate_stochastic([[1.0]], [ARTIFICIAL_STATE_LABEL])
         out = induce_irreducibility(P, 0.25)
@@ -488,6 +493,39 @@ def block_solves(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def structure_scans(monkeypatch):
+    """How many times ``markov._tarjan`` and ``markov._edges`` have run."""
+    calls = {"_tarjan": 0, "_edges": 0}
+    for name in calls:
+
+        def spy(*args, name=name, original=getattr(markov, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(markov, name, spy)
+    return calls
+
+
+class TestStructureFoundOnce:
+    """A matrix finds its edges, row entropies and condensation once."""
+
+    def test_laws_and_rates_of_one_matrix_scan_it_once(self, structure_scans):
+        P = two_closed_classes()
+        pi = stationary_distribution(P)
+        entropy_rate(P, pi)
+        stationary_distribution_estimate(P, Induced())
+        Induced()._rate(P)
+        induced_entropy_rates(P, [2.0**-i for i in range(1, 26)])
+        assert structure_scans == {"_tarjan": 1, "_edges": 1}
+
+    def test_entropy_rate_runs_no_tarjan(self, structure_scans):
+        pi = stationary_distribution(two_closed_classes())
+        structure_scans.update(_tarjan=0, _edges=0)
+        entropy_rate(two_closed_classes(), pi)  # a fresh matrix
+        assert structure_scans == {"_tarjan": 0, "_edges": 1}
+
+
 def pinned_corpus():
     lines = pinned_corpus_text().splitlines()
     cleaned, _ = preprocess(SequenceCorpus.from_sequences([line.split() for line in lines]), 3)
@@ -553,8 +591,9 @@ class TestBlockRates:
     TRANSIENT_INTO_ONE_CLASS = [[0.2, 0.5, 0.3], [0.0, 0.1, 0.9], [0.0, 0.6, 0.4]]
 
     def test_p_zero_puts_all_the_mass_on_the_one_closed_class(self, block_solves):
-        blocks = markov._Blocks(np.array(self.TRANSIENT_INTO_ONE_CLASS))
-        expected = blocks.stationary(0.0) @ blocks.h
+        P = validate_stochastic(self.TRANSIENT_INTO_ONE_CLASS, list("abc"))
+        blocks = markov._Blocks(P)
+        expected = blocks.stationary(0.0) @ P.h
         [one] = blocks.rates([0.0])
         zero, _ = blocks.rates([0.0, 2.0**-20])
         assert block_solves == [0.0]  # the pair is summed from the series
@@ -564,7 +603,7 @@ class TestBlockRates:
     @pytest.mark.parametrize("p_values", [[2.0**-50], [2.0**-20, 2.0**-50]], ids=["one", "many"])
     def test_point_failing_the_certificate_raises(self, p_values):
         with pytest.raises(IllConditionedError, match="p=8.881784197001252e-16"):
-            markov._Blocks(nearly_decomposable().rows).rates(p_values)
+            markov._Blocks(nearly_decomposable()).rates(p_values)
 
 
 class TestInducedEntropyRates:
@@ -685,7 +724,7 @@ class TestInducedEntropyRates:
 
     def test_series_matches_block_solves_on_classes_above_the_base_size(self, block_solves):
         P, _ = two_closed_classes_2100()
-        assert sorted(members.size for members, _, _ in markov._Blocks(P.rows).closed) == [800, 1200]
+        assert sorted(members.size for members, _, _ in markov._Blocks(P).closed) == [800, 1200]
         p_values = [2.0**-i for i in range(1, 26)]
         rates = induced_entropy_rates(P, p_values)
         assert block_solves == []

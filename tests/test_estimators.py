@@ -480,6 +480,29 @@ def test_sweep_checks_every_p_before_fitting(monkeypatch, kind, bad):
     assert fits == []
 
 
+@pytest.mark.parametrize(
+    "estimate, error",
+    [
+        (lambda corpus, P: markov_plugin_estimate(corpus, "induced"), TypeError),
+        (lambda corpus, P: lamp_plugin_estimate(corpus, 2, None), TypeError),
+        (lambda corpus, P: stationary_distribution_estimate(P, "x"), TypeError),
+        (lambda corpus, P: markov_plugin_estimate(corpus, Induced(1.5)), InvalidProbabilityError),
+    ],
+    ids=["markov", "lamp", "stationary", "induced-weight"],
+)
+def test_estimators_check_the_strategy_before_fitting(monkeypatch, estimate, error):
+    def fit(*args, **kwargs):
+        raise AssertionError("fitted before the strategy was checked")
+
+    monkeypatch.setattr("lamp_entropy.estimators.fit_first_order", fit)
+    monkeypatch.setattr("lamp_entropy.estimators.fit_lamp_em", fit)
+    corpus = SequenceCorpus.from_sequences([["a", "b", "a", "c"] * 20])
+    P = validate_stochastic([[0.5, 0.5], [1.0, 0.0]], ["a", "b"])
+    match = "unknown conditioning strategy" if error is TypeError else "1.5"
+    with pytest.raises(error, match=match):
+        estimate(corpus, P)
+
+
 @pytest.mark.parametrize("kind", list(DEFAULT_SWEEP_EXPONENTS))
 def test_sweep_default_exponents_come_from_the_table(kind):
     corpus = SequenceCorpus.from_sequences([["a", "b", "a", "c"] * 20])

@@ -21,6 +21,7 @@ from lamp_entropy import (
     UnknownTokenError,
     ZeroProbabilityError,
     entropy_rate,
+    is_irreducible,
     lamp_entropy_rate,
     lamp_transition_distribution,
     load_model,
@@ -56,6 +57,24 @@ def sparse_chain(n, seed, out_degree=3):
         succ = np.append(rng.choice(n, out_degree, replace=False), (i + 1) % n)
         rows[i, succ] = rng.random(succ.size) + 0.1
     rows /= rows.sum(axis=1, keepdims=True)
+    return validate_stochastic(rows, [f"s{i}" for i in range(n)])
+
+
+def reducible_sparse_chain(n, seed, out_degree=3):
+    """Shuffled: the first half of the states transient, each leaking into
+    one of two closed classes of ``n / 4`` states; every state has at most
+    ``out_degree + 2`` successors, the next one on its block's cycle among them."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((n, n))
+    t, a = n // 2, 3 * n // 4
+    for i in range(n):
+        lo, hi = (0, t) if i < t else (t, a) if i < a else (a, n)
+        succ = np.append(rng.integers(lo, hi, out_degree), lo + (i - lo + 1) % (hi - lo))
+        rows[i, succ] += rng.random(succ.size) + 0.1
+        if i < t:
+            rows[i, rng.integers(t, n)] += 0.2
+    perm = rng.permutation(n)
+    rows = (rows / rows.sum(axis=1, keepdims=True))[np.ix_(perm, perm)]
     return validate_stochastic(rows, [f"s{i}" for i in range(n)])
 
 
@@ -277,6 +296,23 @@ class TestSimulateLamp:
         finally:
             tracemalloc.stop()
         assert peak <= 20 * steps + 2**22
+
+    def test_stationary_start_holds_no_dense_block(self):
+        # The first state's law needs the solver's dense blocks, the walk
+        # the dense cumulative sums; the matrix keeps only its edges and
+        # condensation, O(n + edges). Measured at 1.08 * n^2 * 8 bytes
+        # while no dense block outlives the call that made it, and at 1.72
+        # with the solver's blocks kept on the matrix.
+        n = 300
+        model = LampModel(reducible_sparse_chain(n, seed=5), KernelDistribution([0.5, 0.5]))
+        assert not is_irreducible(model.matrix)
+        tracemalloc.start()
+        try:
+            simulate_lamp(model, 100, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * n * n * 8
 
     def test_long_run_frequencies_match_stationary(self):
         rng = np.random.default_rng(13)

@@ -502,6 +502,18 @@ class TestMatrixIO:
         assert with_bom.labels == P.labels and np.array_equal(with_bom.rows, P.rows)
 
 
+def test_kept_structure_is_read_only():
+    P = validate_stochastic([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], list("abc"))
+    n_components, transient, closed = P.condensation
+    assert n_components == 3
+    assert transient.tolist() == [0]
+    assert [cls.tolist() for cls in closed] == [[1], [2]]
+    assert P.h.tolist() == [1.0, 0.0, 0.0]
+    for array in (*P.edges, P.h, transient, *closed):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 def test_is_irreducible():
     assert is_irreducible(validate_stochastic([[0.0, 1.0], [1.0, 0.0]], ["a", "b"]))
     assert not is_irreducible(validate_stochastic([[1.0, 0.0], [0.0, 1.0]], ["a", "b"]))
