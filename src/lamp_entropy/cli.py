@@ -16,10 +16,13 @@ Log verbosity is controlled by the ``LAMP_ENTROPY_LOG_LEVEL``
 environment variable: a level name in any case (default WARNING). An
 unknown name is a configuration error.
 
-Every corpus is read through a cache of encoded corpora, keyed by the
-input file's bytes (:func:`~lamp_entropy.corpus.load_sequences_cached`),
-so a file is parsed once, not once per run. The ``LAMP_ENTROPY_CACHE_DIR``
-environment variable names its directory; unset, it is
+Every input file (a corpus, a ``simulate`` model or matrix) is read
+through one cache keyed by the file's bytes
+(:func:`~lamp_entropy.corpus.load_sequences_cached`,
+:func:`~lamp_entropy.corpus.load_model_cached` and
+:func:`~lamp_entropy.corpus.load_matrix_cached`), so a file is parsed
+once, not once per run. The ``LAMP_ENTROPY_CACHE_DIR`` environment
+variable names its directory; unset, it is
 ``$XDG_CACHE_HOME/lamp-entropy``, else ``~/.cache/lamp-entropy``; empty,
 the cache is off.
 """
@@ -37,7 +40,14 @@ from pathlib import Path
 
 from . import __version__
 from .conditioning import DEFAULT_P_ARTIFICIAL, Induced, LargestCC
-from .corpus import DEFAULT_MIN_COUNT, DEFAULT_RARE_TOKEN, load_sequences_cached, preprocess
+from .corpus import (
+    DEFAULT_MIN_COUNT,
+    DEFAULT_RARE_TOKEN,
+    load_matrix_cached,
+    load_model_cached,
+    load_sequences_cached,
+    preprocess,
+)
 from .dependence import corpus_dependency_profile, write_profile_csv
 from .errors import ConfigError, LampError, UnwritableLabelError
 from .estimators import (
@@ -51,8 +61,8 @@ from .estimators import (
     write_sweep_csv,
 )
 from .fitting import DEFAULT_EM_MAX_ITER, DEFAULT_EM_TOL, fit_first_order, fit_lamp_em
-from .lamp import load_model, save_model, simulate_lamp
-from .markov import load_matrix_csv, load_matrix_json, simulate_markov, write_json
+from .lamp import save_model, simulate_lamp
+from .markov import simulate_markov, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -216,7 +226,7 @@ def _configure_logging() -> None:
 
 
 def _cache_dir() -> str | None:
-    """The corpus cache directory: ``LAMP_ENTROPY_CACHE_DIR`` (None when it
+    """The input cache directory: ``LAMP_ENTROPY_CACHE_DIR`` (None when it
     is empty), else ``lamp-entropy`` in the user's cache directory."""
     path = os.environ.get("LAMP_ENTROPY_CACHE_DIR")
     if path is not None:
@@ -226,7 +236,7 @@ def _cache_dir() -> str | None:
         try:
             base = os.path.join(Path.home(), ".cache")
         except RuntimeError as exc:
-            logger.info("corpus cache off (%s)", exc)
+            logger.info("input cache off (%s)", exc)
             return None
     return os.path.join(base, "lamp-entropy")
 
@@ -273,12 +283,11 @@ def _preprocessed_corpus(args):
 
 def _cmd_simulate(args, config: dict) -> None:
     if args.model is not None:
-        model = load_model(args.model)
+        model = load_model_cached(args.model, cache_dir=_cache_dir())
         labels = model.matrix.labels
         tokens = simulate_lamp(model, args.steps, args.seed, args.init)
     else:
-        suffix = Path(args.matrix).suffix.lower()
-        matrix = load_matrix_csv(args.matrix) if suffix == ".csv" else load_matrix_json(args.matrix)
+        matrix = load_matrix_cached(args.matrix, cache_dir=_cache_dir())
         labels = matrix.labels
         tokens = simulate_markov(matrix, args.steps, args.seed, args.init)
     _write_lines(args.output, [tokens], labels)

@@ -25,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DegenerateComponentError, InvalidProbabilityError
-from .markov import StateSpace, TransitionMatrix, _Blocks, _edges, _tarjan
+from .markov import StateSpace, TransitionMatrix, _Blocks, _components
 from .markov import entropy_rate, stationary_distribution
 
 ARTIFICIAL_STATE_LABEL = "__artificial__"
@@ -105,7 +105,7 @@ def strongly_connected_components(
     the maximum-cardinality component, ties broken by the lowest state
     index it contains. A threshold below 0, or NaN, raises ValueError.
     """
-    components, component_of = _tarjan(*_edges(matrix.rows, edge_threshold))
+    components, component_of = _components(matrix, edge_threshold)
     frozen = tuple(frozenset(members) for members in components)
     best = max(range(len(frozen)), key=lambda c: (len(frozen[c]), -min(frozen[c])))
     return SccPartition(frozen, dict(enumerate(component_of)), best)

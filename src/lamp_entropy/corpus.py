@@ -1,11 +1,14 @@
-"""Sequence corpora: ingestion and the preprocessing pipeline.
+"""Sequence corpora: ingestion, the input cache and the preprocessing pipeline.
 
 A corpus is an immutable, encoded collection of token sequences: one
 flat array of state codes, the offsets where each sequence starts, and
 the vocabulary that maps codes to labels. Strings are mapped to codes
-once, when the corpus is read or built, and decoded only for output;
-:func:`load_sequences_cached` keeps each file's encoded corpus on disk,
-keyed by the file's bytes, so that a file is parsed once.
+once, when the corpus is read or built, and decoded only for output.
+The CLI reads every input file through one cache keyed by the file's
+bytes (:func:`_cached`), so that a file is parsed once:
+:func:`load_sequences_cached` keeps each corpus encoded on disk, and
+:func:`load_model_cached` and :func:`load_matrix_cached` keep each
+model's and matrix's parsed arrays.
 Preprocessing collapses consecutive duplicates (so fitted matrices
 carry no self-loops) and pools rare tokens into a single placeholder;
 both are array passes over the codes.
@@ -20,11 +23,13 @@ import stat
 import tempfile
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyCorpusError, MalformedRowError, RareTokenCollisionError, malformed_file
-from .markov import StateSpace, _read_only
+from .lamp import KernelDistribution, LampModel, load_model
+from .markov import StateSpace, TransitionMatrix, _read_only, load_matrix_csv, load_matrix_json
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +43,15 @@ DEFAULT_RARE_TOKEN = "__rare__"
 # compares it with this digest.
 _CACHE_VERSION = 1
 _READER_DIGEST = "7db18816336e4de83b4d7fad13a644ba980ef0714fde6bf9283a00263ad9ebef"
+
+# The same for load_model_cached and load_matrix_cached: bump it whenever
+# lamp.load_model, markov.load_matrix_json or markov.load_matrix_csv can
+# give other rows, labels or kernel for the same bytes (a change to
+# markov.validate_stochastic's rescaling, say), and re-pin
+# _MODEL_READER_DIGEST, the digest tests/test_corpus.py takes of their
+# output on fixed files.
+_MODEL_CACHE_VERSION = 1
+_MODEL_READER_DIGEST = "a4199af60a192b695f24b0735a0afee1a188e8bb185a940119798145552d32c5"
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,56 +229,116 @@ def load_sequences_cached(
     *,
     cache_dir,
 ) -> SequenceCorpus:
-    """:func:`load_sequences`, through a cache of encoded corpora in ``cache_dir``.
+    """:func:`load_sequences`, through the input cache in ``cache_dir`` (:func:`_cached`).
 
-    An entry is keyed by the sha256 of a header (the cache version, the
-    Unicode version that ``str.split`` follows, ``fmt`` and, for TSV, the
-    columns) followed by the file's bytes, which every call hashes in
-    full. A hit loads the entry's arrays through the
-    :class:`SequenceCorpus` checks; a miss parses the file and writes the
-    entry, unless the file's bytes changed during the parse. Only regular
-    files are cached, and ``cache_dir=None`` parses only. A cache that
-    cannot be read or written is logged at INFO and the file is parsed:
-    the corpus, and every error a file raises, are the same either way.
+    The key's header holds the cache version, the Unicode version that
+    ``str.split`` follows, ``fmt`` and, for TSV, the columns. An entry
+    holds the token codes, the offsets and the labels; a hit loads them
+    through the :class:`SequenceCorpus` checks.
+    """
+    import unicodedata  # imported here: importing the package does not pay for it
+
+    columns = (group_col, item_col) if fmt == "tsv" else ()
+    return _cached(
+        path,
+        (_CACHE_VERSION, unicodedata.unidata_version, fmt, *columns),
+        lambda: load_sequences(path, fmt, group_col, item_col),
+        _corpus_arrays,
+        _corpus_from,
+        cache_dir=cache_dir,
+        what="corpus",
+    )
+
+
+def load_model_cached(path, *, cache_dir) -> LampModel:
+    """:func:`lamp.load_model`, through the input cache in ``cache_dir`` (:func:`_cached`).
+
+    The key's header holds ``"model"``, the model cache version and the
+    NumPy version, whose sums rescale the rows. An entry holds the rows
+    as the parse left them, bit for bit, the labels and the kernel; a
+    hit rebuilds the model through the :class:`TransitionMatrix` and
+    :class:`KernelDistribution` checks, without rescaling again.
+    """
+    return _cached(
+        path,
+        ("model", _MODEL_CACHE_VERSION, np.__version__),
+        lambda: load_model(path),
+        _model_arrays,
+        _model_from,
+        cache_dir=cache_dir,
+        what="model",
+    )
+
+
+def load_matrix_cached(path, *, cache_dir) -> TransitionMatrix:
+    """A transition matrix file, through the input cache in ``cache_dir`` (:func:`_cached`).
+
+    A ``.csv`` file (in any case) is read by :func:`markov.load_matrix_csv`,
+    any other by :func:`markov.load_matrix_json`. Keys and entries are
+    those of :func:`load_model_cached`, with the reader's name
+    (``"matrix-csv"`` or ``"matrix-json"``) in the header and no kernel.
+    """
+    is_csv = Path(path).suffix.lower() == ".csv"
+    return _cached(
+        path,
+        ("matrix-csv" if is_csv else "matrix-json", _MODEL_CACHE_VERSION, np.__version__),
+        lambda: load_matrix_csv(path) if is_csv else load_matrix_json(path),
+        _matrix_arrays,
+        _matrix_from,
+        cache_dir=cache_dir,
+        what="matrix",
+    )
+
+
+def _cached(path, header: tuple, parse, pack, unpack, *, cache_dir, what: str):
+    """``parse()`` of the file at ``path``, through a cache of its result in ``cache_dir``.
+
+    An entry is one uncompressed ``.npz`` of the arrays ``pack`` makes of
+    the result, named by the sha256 of ``repr(header)`` followed by the
+    file's bytes, which every call hashes in full. A hit returns
+    ``unpack`` of the entry; a miss parses the file and writes the entry,
+    unless the file's bytes changed during the parse. Only regular files
+    are cached, and ``cache_dir=None`` parses only. A cache that cannot be
+    read or written is logged at INFO, ``what`` naming the kind of file,
+    and the file is parsed: the result, and every error a file raises,
+    are the same either way.
     """
     if cache_dir is None:
-        return load_sequences(path, fmt, group_col, item_col)
+        return parse()
     try:
-        key = _cache_key(path, fmt, group_col, item_col)
+        key = _cache_key(path, header)
     except OSError as exc:  # the parse raises it again if the file cannot be read
-        logger.info("corpus cache skipped (%s)", exc)
-        return load_sequences(path, fmt, group_col, item_col)
+        logger.info("%s cache skipped (%s)", what, exc)
+        return parse()
     entry = os.path.join(cache_dir, f"{key}.npz")
     try:
-        corpus = _read_entry(entry)
+        # Opened here: np.load leaves a path's file open when the zip is bad.
+        with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            value = unpack(npz)
     except FileNotFoundError:
-        logger.info("corpus cache miss %s %s", key[:12], entry)
+        logger.info("%s cache miss %s %s", what, key[:12], entry)
     except Exception as exc:  # an unreadable entry is parsed again and rewritten
-        logger.info("corpus cache miss %s %s (%s: %s)", key[:12], entry, type(exc).__name__, exc)
+        logger.info("%s cache miss %s %s (%s: %s)", what, key[:12], entry, type(exc).__name__, exc)
     else:
-        logger.info("corpus cache hit %s %s", key[:12], entry)
-        return corpus
-    corpus = load_sequences(path, fmt, group_col, item_col)
+        logger.info("%s cache hit %s %s", what, key[:12], entry)
+        return value
+    value = parse()
     try:
-        if _cache_key(path, fmt, group_col, item_col) == key:
-            _write_entry(cache_dir, entry, corpus)
+        if _cache_key(path, header) == key:
+            _write_entry(cache_dir, entry, pack(value))
         else:
-            logger.info("corpus cache entry not written: %s changed while it was read", path)
+            logger.info("%s cache entry not written: %s changed while it was read", what, path)
     except Exception as exc:
-        logger.info("corpus cache entry not written (%s: %s)", type(exc).__name__, exc)
-    return corpus
+        logger.info("%s cache entry not written (%s: %s)", what, type(exc).__name__, exc)
+    return value
 
 
-def _cache_key(path, fmt, group_col, item_col) -> str:
+def _cache_key(path, header: tuple) -> str:
     if not stat.S_ISREG(os.stat(path).st_mode):
         # A pipe cannot be read twice: once to hash it, once to parse it.
         raise OSError(f"{path} is not a regular file")
-    # Imported here: importing the package does not pay for them.
-    import hashlib
-    import unicodedata
+    import hashlib  # imported here: importing the package does not pay for it
 
-    columns = (group_col, item_col) if fmt == "tsv" else ()
-    header = (_CACHE_VERSION, unicodedata.unidata_version, fmt, *columns)
     digest = hashlib.sha256(f"{header!r}\n".encode())
     # One reused buffer: a new bytes object per block made the hash about a third slower.
     buffer = bytearray(1 << 20)
@@ -275,33 +349,61 @@ def _cache_key(path, fmt, group_col, item_col) -> str:
     return digest.hexdigest()
 
 
-def _read_entry(entry) -> SequenceCorpus:
-    # Opened here: np.load leaves a path's file open when the zip is bad.
-    with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-        arrays = npz["tokens"], npz["offsets"], npz["labels"]
-    for array, dtype in zip(arrays, (np.int32, np.int64, np.uint8)):
-        if array.dtype != dtype or array.ndim != 1:
-            raise ValueError(f"entry holds a {array.dtype} array of shape {array.shape}")
-    tokens, offsets, labels = arrays
-    labels = json.loads(labels.tobytes())
-    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
-        raise ValueError("entry's labels are not a list of strings")
-    return SequenceCorpus(tokens, offsets, StateSpace(tuple(labels)))
-
-
-def _write_entry(cache_dir, entry, corpus: SequenceCorpus) -> None:
-    # The labels go in as JSON bytes: a NumPy string array drops a label's trailing NULs.
-    labels = np.frombuffer(json.dumps(corpus.vocabulary.labels).encode(), dtype=np.uint8)
+def _write_entry(cache_dir, entry, arrays: dict) -> None:
     os.makedirs(cache_dir, mode=0o700, exist_ok=True)
     # Written aside and renamed into place, so no reader sees a partial entry.
     fd, scratch = tempfile.mkstemp(suffix=".tmp", dir=cache_dir)
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, tokens=corpus.tokens, offsets=corpus.offsets, labels=labels)
+            np.savez(fh, **arrays)
         os.replace(scratch, entry)
     except BaseException:
         os.unlink(scratch)
         raise
+
+
+def _array(npz, name: str, dtype, ndim: int = 1) -> np.ndarray:
+    array = npz[name]
+    if array.dtype != dtype or array.ndim != ndim:
+        raise ValueError(f"entry holds a {array.dtype} array of shape {array.shape} as {name}")
+    return array
+
+
+def _labels_array(labels) -> np.ndarray:
+    # The labels go in as JSON bytes: a NumPy string array drops a label's trailing NULs.
+    return np.frombuffer(json.dumps(labels).encode(), dtype=np.uint8)
+
+
+def _states(npz) -> StateSpace:
+    labels = json.loads(_array(npz, "labels", np.uint8).tobytes())
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise ValueError("entry's labels are not a list of strings")
+    return StateSpace(tuple(labels))
+
+
+def _corpus_arrays(corpus: SequenceCorpus) -> dict:
+    labels = _labels_array(corpus.vocabulary.labels)
+    return {"tokens": corpus.tokens, "offsets": corpus.offsets, "labels": labels}
+
+
+def _corpus_from(npz) -> SequenceCorpus:
+    return SequenceCorpus(_array(npz, "tokens", np.int32), _array(npz, "offsets", np.int64), _states(npz))
+
+
+def _matrix_arrays(matrix: TransitionMatrix) -> dict:
+    return {"rows": matrix.rows, "labels": _labels_array(matrix.labels)}
+
+
+def _matrix_from(npz) -> TransitionMatrix:
+    return TransitionMatrix(_states(npz), _array(npz, "rows", np.float64, 2))
+
+
+def _model_arrays(model: LampModel) -> dict:
+    return {**_matrix_arrays(model.matrix), "kernel": model.kernel.weights}
+
+
+def _model_from(npz) -> LampModel:
+    return LampModel(_matrix_from(npz), KernelDistribution(_array(npz, "kernel", np.float64)))
 
 
 def dedupe_consecutive(corpus: SequenceCorpus) -> SequenceCorpus:

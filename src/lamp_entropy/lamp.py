@@ -128,6 +128,7 @@ def simulate_lamp(
     """
     rng, first = _start(model.matrix, n_steps, seed, init)
     [(lag_cum, lag_cols)] = _inverse_cdf(model.kernel.weights)
+    lag_cum = np.array(lag_cum)
 
     def blocks():
         for a, b in _spans(n_steps - 1):

@@ -142,12 +142,19 @@ class TransitionMatrix:
         return _read_only(np.bincount(sources, weights=-probs * np.log2(probs), minlength=self.n))
 
     @cached_property
+    def components(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The SCCs of :attr:`edges` and each state's SCC id, from one
+        :func:`_tarjan`, in the order it completes them."""
+        components, component_of = _tarjan(*self.edges)
+        return tuple(map(tuple, components)), tuple(component_of)
+
+    @cached_property
     def condensation(self) -> tuple[int, np.ndarray, tuple[np.ndarray, ...]]:
         """The number of SCCs, the transient states (those whose component
         has an edge leaving it) and the closed classes, each sorted, from
-        one :func:`_tarjan` over :attr:`edges`."""
+        :attr:`components`."""
         starts, targets = self.edges
-        components, component_of = _tarjan(starts, targets)
+        components, component_of = self.components
         label = np.array(component_of)
         source_label = np.repeat(label, np.diff(starts))
         is_open = np.zeros(len(components), dtype=bool)
@@ -236,7 +243,15 @@ def _reject_non_finite(values: np.ndarray, what: str) -> None:
 def is_irreducible(matrix: TransitionMatrix, edge_threshold: float = 0.0) -> bool:
     """True when every state reaches every other via transitions above
     ``edge_threshold``, which must be >= 0 (:func:`_edges`)."""
-    return len(_tarjan(*_edges(matrix.rows, edge_threshold))[0]) == 1
+    return len(_components(matrix, edge_threshold)[0]) == 1
+
+
+def _components(matrix: TransitionMatrix, threshold: float = 0.0):
+    """:func:`_tarjan` of the edges above ``threshold``: the matrix's
+    :attr:`~TransitionMatrix.components` at 0, a fresh scan at any other."""
+    if threshold == 0:
+        return matrix.components
+    return _tarjan(*_edges(matrix.rows, threshold))
 
 
 def _edges(rows: np.ndarray, threshold: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -610,7 +625,7 @@ def _walk(matrix: TransitionMatrix, first: int, blocks) -> list[str]:
     """
     every = list(range(matrix.n))
     cells = [
-        (cum.tolist(), every if cols.size == matrix.n else cols.tolist())
+        (cum, every if cols.size == matrix.n else cols.tolist())
         for cum, cols in _inverse_cdf(matrix.rows, matrix.edges)
     ]
     states = [first]
@@ -630,7 +645,7 @@ def _start(matrix: TransitionMatrix, n_steps: int, seed, init) -> tuple[np.rando
     rng = np.random.default_rng(seed)
     if init is None:
         [(cum, cols)] = _inverse_cdf(stationary_distribution(matrix).probs)
-        return rng, int(cols[np.searchsorted(cum, rng.random(), side="left")])
+        return rng, int(cols[bisect_left(cum, rng.random())])
     if isinstance(init, str):
         if init not in matrix.states:
             raise InvalidInitStateError(f"no state labelled {init!r}")
@@ -643,10 +658,10 @@ def _start(matrix: TransitionMatrix, n_steps: int, seed, init) -> tuple[np.rando
     return rng, idx
 
 
-def _inverse_cdf(probs: np.ndarray, edges=None) -> list[tuple[np.ndarray, np.ndarray]]:
+def _inverse_cdf(probs: np.ndarray, edges=None) -> list[tuple[list[float], np.ndarray]]:
     """Per row of ``probs`` (a stochastic matrix, or one probability
-    vector): the cumulative sums at its positive cells, ``edges`` or else
-    those :func:`_edges` finds, and those cells' columns.
+    vector): the list of cumulative sums at its positive cells, ``edges``
+    or else those :func:`_edges` finds, and those cells' columns.
 
     The sums are the dense row's cumulative sums, and a uniform draw
     ``u`` maps to the first positive cell whose sum is >= ``u``. That is
@@ -654,14 +669,20 @@ def _inverse_cdf(probs: np.ndarray, edges=None) -> list[tuple[np.ndarray, np.nda
     search lands on a zero cell: a draw of 0 before the first positive
     cell, or a draw above a total that rounded below 1 past the last
     one. The last sum of each row is set to +inf, so the latter lands
-    on the row's last positive cell.
+    on the row's last positive cell. Each row is summed over its positive
+    cells alone, in column order: adding a zero cell to a sum is exact,
+    so the sums are the dense ones, in memory linear in the edges.
     """
     rows = np.atleast_2d(probs)
     starts, cols = _edges(rows) if edges is None else edges
-    cum = np.cumsum(rows, axis=1)[np.repeat(np.arange(rows.shape[0]), np.diff(starts)), cols]
-    cum[starts[1:] - 1] = np.inf
+    values = rows[np.repeat(np.arange(rows.shape[0]), np.diff(starts)), cols]
     bounds = starts.tolist()
-    return [(cum[a:b], cols[a:b]) for a, b in zip(bounds, bounds[1:])]
+    cells = []
+    for a, b in zip(bounds, bounds[1:]):
+        cum = np.cumsum(values[a:b])
+        cum[-1] = np.inf
+        cells.append((cum.tolist(), cols[a:b]))
+    return cells
 
 
 @dataclass(frozen=True)

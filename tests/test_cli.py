@@ -378,13 +378,14 @@ def malformed_argv(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
-def test_malformed_input_file_is_one_json_error(tmp_path, capsys, case):
+def test_malformed_input_file_is_one_json_error(tmp_path, capsys, corpus_cache, case):
     assert run(malformed_argv(tmp_path, case)) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["error"] == "MalformedFileError"
     assert MALFORMED_INPUTS[case][1] in err["message"]
+    assert entries(corpus_cache) == []
 
 
 @pytest.mark.parametrize(
@@ -473,38 +474,48 @@ CORPUS_COMMANDS = [
 ]
 
 
-def corpus_runs(tmp, corpus_args, cache, cold=False):
-    """Each corpus command's exit status, stdout, stderr and artifact bytes,
-    with LAMP_ENTROPY_CACHE_DIR set to ``cache``; ``cold`` empties the
-    cache before every command."""
+def cli_runs(tmp, commands, cache, cold=False):
+    """Each command's exit status, stdout, stderr and artifact bytes, with
+    LAMP_ENTROPY_CACHE_DIR set to ``cache``; ``cold`` empties the cache
+    before every command."""
     results = []
-    for command in CORPUS_COMMANDS:
+    for command in commands:
         if cold:
             shutil.rmtree(cache, ignore_errors=True)
         out = tmp / "out"
         out.mkdir()
         with mock.patch.dict(os.environ, {"LAMP_ENTROPY_CACHE_DIR": str(cache)}):
-            status = run_captured([*command, *corpus_args, "--output", out / "artifact"])
+            status = run_captured([*command, "--output", out / "artifact"])
         results.append((status, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
         shutil.rmtree(out)
     return results
+
+
+def corpus_runs(tmp, corpus_args, cache, cold=False):
+    """:func:`cli_runs` of each corpus command on the corpus of ``corpus_args``."""
+    return cli_runs(tmp, [[*command, *corpus_args] for command in CORPUS_COMMANDS], cache, cold)
 
 
 def entries(cache):
     return sorted(p.name for p in Path(cache).iterdir()) if Path(cache).exists() else []
 
 
-@pytest.fixture
-def parses(monkeypatch):
-    """The arguments of every load_sequences call the CLI makes."""
+def counting(monkeypatch, name):
+    """The arguments of every call the CLI makes to the parse ``corpus.<name>``."""
     calls = []
+    original = getattr(corpus_module, name)
 
     def parse(*args):
         calls.append(args)
-        return load_sequences(*args)
+        return original(*args)
 
-    monkeypatch.setattr(corpus_module, "load_sequences", parse)
+    monkeypatch.setattr(corpus_module, name, parse)
     return calls
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    return counting(monkeypatch, "load_sequences")
 
 
 class TestCorpusCache:
@@ -646,6 +657,64 @@ class TestCorpusCache:
         env = {**os.environ, "PYTHONPATH": str(Path(lamp_entropy.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.stdout.strip() == "[]", done.stderr
+
+
+def simulate_commands(tmp):
+    """``simulate`` from a model, a JSON matrix and a CSV matrix, each with
+    a row that is rescaled on reading, a -0.0 cell and non-ASCII labels."""
+    labels = ["é", "字", "b"]
+    rows = [[0.3, 0.7000000004, 0.0], [-0.0, 0.25, 0.75], [0.5, 0.25, 0.25]]
+    (tmp / "m.json").write_text(json.dumps({"labels": labels, "rows": rows, "kernel": [0.5, 0.5]}))
+    (tmp / "x.json").write_text(json.dumps({"labels": labels, "rows": rows}))
+    (tmp / "x.csv").write_text("\n".join(",".join(map(str, row)) for row in [labels, *rows]) + "\n")
+    sim = ["simulate", "--steps", 300, "--seed", 4]
+    return [[*sim, "--model", tmp / "m.json"], [*sim, "--matrix", tmp / "x.json"],
+            [*sim, "--matrix", tmp / "x.csv", "--init", "b"]]
+
+
+class TestModelCache:
+    def test_same_bytes_cold_warm_and_off(self, tmp_path):
+        commands = simulate_commands(tmp_path)
+        off = cli_runs(tmp_path, commands, "")
+        assert all(status == (0, "wrote 300 symbols to " + str(tmp_path / "out" / "artifact") + "\n", "")
+                   for status, _ in off)
+        assert not (tmp_path / "cache").exists()
+        assert cli_runs(tmp_path, commands, tmp_path / "cache", cold=True) == off
+        assert len(entries(tmp_path / "cache")) == 1
+        # The second pass reads every file from its entry.
+        for _ in range(2):
+            assert cli_runs(tmp_path, commands, tmp_path / "cache") == off
+        assert len(entries(tmp_path / "cache")) == 3
+
+    def test_hit_parses_nothing(self, tmp_path, corpus_cache, monkeypatch):
+        calls = [counting(monkeypatch, name) for name in ("load_model", "load_matrix_json", "load_matrix_csv")]
+        commands = simulate_commands(tmp_path)
+        for _ in range(3):
+            cli_runs(tmp_path, commands, corpus_cache)
+        assert [len(c) for c in calls] == [1, 1, 1]
+        assert len(entries(corpus_cache)) == 3
+
+    def test_pipe_is_parsed_once_and_not_cached(self, tmp_path, corpus_cache, monkeypatch):
+        parses = counting(monkeypatch, "load_model")
+        fifo = tmp_path / "model.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.write('{"labels": ["a", "b"], "rows": [[0.5, 0.5], [1.0, 0.0]], "kernel": [1.0]}')
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            code = run(["simulate", "--model", fifo, "--steps", 10, "--output", tmp_path / "s.lines"])
+        finally:
+            # Unblocks the writer if the run never opened the pipe.
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(10)
+        assert not writer.is_alive()
+        assert code == 0
+        assert len(parses) == 1
+        assert entries(corpus_cache) == []
 
 
 class TestProfile:

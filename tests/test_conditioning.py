@@ -32,7 +32,7 @@ from lamp_entropy import (
     strongly_connected_components,
     validate_stochastic,
 )
-from lamp_entropy import markov
+from lamp_entropy import conditioning, markov
 
 from test_cli import pinned_corpus_text
 from test_markov import PERIODIC_TWO_CYCLE, random_ergodic
@@ -495,7 +495,8 @@ def block_solves(monkeypatch):
 
 @pytest.fixture
 def structure_scans(monkeypatch):
-    """How many times ``markov._tarjan`` and ``markov._edges`` have run."""
+    """How many times ``markov._tarjan`` and ``markov._edges`` have run,
+    called from any module that holds them."""
     calls = {"_tarjan": 0, "_edges": 0}
     for name in calls:
 
@@ -503,7 +504,9 @@ def structure_scans(monkeypatch):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(markov, name, spy)
+        for module in (markov, conditioning):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -518,6 +521,21 @@ class TestStructureFoundOnce:
         Induced()._rate(P)
         induced_entropy_rates(P, [2.0**-i for i in range(1, 26)])
         assert structure_scans == {"_tarjan": 1, "_edges": 1}
+
+    def test_largest_cc_scans_each_matrix_once(self, structure_scans):
+        # One scan of P, and one of each restriction the two calls build.
+        P = two_closed_classes()
+        LargestCC()._rate(P)
+        stationary_distribution_estimate(P, LargestCC())
+        assert structure_scans == {"_tarjan": 3, "_edges": 3}
+
+    def test_nonzero_threshold_scans_again(self, structure_scans):
+        P = two_closed_classes()
+        assert not is_irreducible(P)
+        assert is_irreducible(P, 0.0) is False
+        assert structure_scans == {"_tarjan": 1, "_edges": 1}
+        strongly_connected_components(P, 0.5)
+        assert structure_scans == {"_tarjan": 2, "_edges": 2}
 
     def test_entropy_rate_runs_no_tarjan(self, structure_scans):
         pi = stationary_distribution(two_closed_classes())

@@ -1,4 +1,7 @@
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import logging
 import os
@@ -15,16 +18,25 @@ from hypothesis.extra.numpy import arrays
 
 from lamp_entropy import (
     EmptyCorpusError,
+    LampError,
+    LampModel,
     MalformedRowError,
     RareTokenCollisionError,
     SequenceCorpus,
     dedupe_consecutive,
+    load_model,
     load_sequences,
     preprocess,
     replace_rare,
 )
 from lamp_entropy import corpus as corpus_module
-from lamp_entropy.corpus import _distinct, lagged_pair_counts, load_sequences_cached
+from lamp_entropy.corpus import (
+    _distinct,
+    lagged_pair_counts,
+    load_matrix_cached,
+    load_model_cached,
+    load_sequences_cached,
+)
 
 tokens_strategy = st.lists(
     st.lists(st.sampled_from("abcd"), min_size=1, max_size=30), min_size=1, max_size=8
@@ -231,6 +243,185 @@ class TestCorpusCache:
             corpus = load_sequences_cached(path, "tsv", 0, 1, cache_dir=cache)
         parse.assert_not_called()
         assert corpus.vocabulary.labels == ("a\x00", "b\x00\x00", "\x00")
+
+
+    def test_keys_are_those_of_older_entries(self, tmp_path):
+        # Entries written before models and matrices shared the cache still hit.
+        import unicodedata
+
+        path = tmp_path / "c.tsv"
+        path.write_bytes(b"u\ta\nu\tb\n")
+        cache = tmp_path / "cache"
+        for fmt, cols in (("lines", ()), ("tsv", (0, 1))):
+            load_sequences_cached(path, fmt, *cols, cache_dir=cache)
+            header = (1, unicodedata.unidata_version, fmt, *cols)
+            key = hashlib.sha256(f"{header!r}\n".encode() + path.read_bytes()).hexdigest()
+            assert (cache / f"{key}.npz").is_file()
+
+
+# Model and matrix files: non-ASCII labels, one that ends in a NUL, a
+# row that validate_stochastic rescales and a -0.0 cell. The CSV file
+# holds no NUL, which Python 3.10's csv module rejects.
+MODEL_PIN_FILES = [
+    ("m.json", "model", (
+        '{"labels": ["a", "\\u00e9", "\\u5b57\\u0000"], "kernel": [0.25, 0.75],'
+        ' "rows": [[0.3, 0.7000000004, 0.0], [-0.0, 0.25, 0.75], [0.1, 0.2, 0.7]]}'
+    )),
+    ("m.json", "matrix", (
+        '{"labels": ["\\u00fc\\u0000", "b"], "rows": [[0.5, 0.5000000002], [1.0, -0.0]]}'
+    )),
+    ("m.csv", "matrix", '\ufeff\u00e9,"a,b",\u5b57\r\n0.3,0.7000000004,0\r\n-0.0,0.25,0.75\r\n0.1,0.2,0.7\r\n'),
+]
+
+
+def model_parts(value):
+    """The rows, labels and kernel that a model or matrix reader gives."""
+    if isinstance(value, LampModel):
+        return value.matrix.rows, value.labels, value.kernel.weights
+    return value.rows, value.labels, None
+
+
+def assert_same_model(got, want):
+    assert type(got) is type(want)
+    for a, b in zip(model_parts(got), model_parts(want)):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+
+
+def model_digest(value):
+    rows, labels, kernel = model_parts(value)
+    digest = hashlib.sha256(rows.dtype.str.encode() + rows.tobytes())
+    digest.update(json.dumps(labels).encode())
+    if kernel is not None:
+        digest.update(kernel.dtype.str.encode() + kernel.tobytes())
+    return digest.hexdigest()
+
+
+# The parse that each reader stands for, by its name in the corpus module.
+MODEL_PARSES = {"model": "load_model", "m.json": "load_matrix_json", "m.csv": "load_matrix_csv"}
+
+
+def load_input_cached(path, kind, cache):
+    if kind == "model":
+        return load_model_cached(path, cache_dir=cache)
+    return load_matrix_cached(path, cache_dir=cache)
+
+
+def model_parse(path, kind):
+    return getattr(corpus_module, MODEL_PARSES[kind if kind == "model" else os.path.basename(path)])
+
+
+@st.composite
+def model_files(draw):
+    """A model, JSON matrix or CSV matrix file's name, kind and bytes:
+    rows near 1 that are rescaled, rows too far from 1, -0.0 cells,
+    non-ASCII labels, and in JSON labels with NULs."""
+    name, kind = draw(st.sampled_from([("m.json", "model"), ("m.json", "matrix"), ("m.csv", "matrix")]))
+    n = draw(st.integers(1, 3))
+    label = st.text(label_chars, min_size=1, max_size=3)
+    if name == "m.csv":
+        label = label.map(lambda text: text.replace("\x00", "_"))
+    labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
+    rows = []
+    for _ in range(n):
+        weights = draw(st.lists(st.sampled_from([0.0, -0.0, 0.1, 1.0, 3.0]), min_size=n, max_size=n))
+        weights[-1] = weights[-1] or 1.0
+        row = [w / sum(weights) for w in weights]
+        row[-1] += draw(st.sampled_from([0.0, 3e-10]))
+        rows.append(row)
+    # Now and then a row too far from 1 to rescale.
+    rows[0][-1] += draw(st.sampled_from([0.0, 0.0, 0.0, 1e-3]))
+    if name == "m.csv":
+        text = io.StringIO()
+        csv.writer(text).writerows([labels, *rows])
+        return name, kind, text.getvalue().encode("utf-8")
+    doc = {"labels": labels, "rows": rows}
+    if kind == "model":
+        doc["kernel"] = draw(st.sampled_from([[1.0], [0.5, 0.5], [0.25, 0.7500000002], [0.5]]))
+    return name, kind, json.dumps(doc).encode()
+
+
+class TestModelCache:
+    @settings(max_examples=80, deadline=None)
+    @given(model_files())
+    def test_cold_and_warm_reads_are_the_parse(self, case):
+        name, kind, data = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, name)
+            cache = os.path.join(tmp, "cache")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            parse = model_parse(path, kind)
+            try:
+                want = parse(path)
+            except LampError as exc:
+                with pytest.raises(type(exc)) as raised:
+                    load_input_cached(path, kind, cache)
+                assert str(raised.value) == str(exc)
+                assert not os.path.exists(cache)
+                return
+            assert_same_model(load_input_cached(path, kind, cache), want)
+            [entry] = os.listdir(cache)
+            with mock.patch.object(corpus_module, parse.__name__) as parsed:
+                got = load_input_cached(path, kind, cache)
+            parsed.assert_not_called()
+            assert_same_model(got, want)
+            assert os.listdir(cache) == [entry]
+
+    def test_reader_semantics_are_pinned(self, tmp_path):
+        digests = []
+        for name, kind, text in MODEL_PIN_FILES:
+            path = tmp_path / name
+            path.write_bytes(text.encode("utf-8"))
+            digests.append(model_digest(model_parse(path, kind)(path)))
+        assert corpus_module._MODEL_READER_DIGEST == hashlib.sha256(" ".join(digests).encode()).hexdigest(), (
+            "load_model, load_matrix_json or load_matrix_csv reads these files differently "
+            "now, so cache entries written before this change would serve other models: "
+            "bump corpus._MODEL_CACHE_VERSION and re-pin corpus._MODEL_READER_DIGEST"
+        )
+
+    def test_one_file_read_as_each_kind_has_an_entry_of_each(self, tmp_path):
+        # A Lines corpus, a model and a JSON matrix, in the same bytes.
+        path = tmp_path / "m.json"
+        path.write_text('{"labels": ["a", "b"], "rows": [[0.5, 0.5], [1.0, 0.0]], "kernel": [1.0]}\n')
+        cache = tmp_path / "cache"
+        reads = [
+            lambda: load_sequences_cached(path, cache_dir=cache),
+            lambda: load_model_cached(path, cache_dir=cache),
+            lambda: load_matrix_cached(path, cache_dir=cache),
+        ]
+        cold = [read() for read in reads]
+        assert len(os.listdir(cache)) == 3
+        parses = ("load_sequences", "load_model", "load_matrix_json")
+        with contextlib.ExitStack() as stack:
+            mocks = [stack.enter_context(mock.patch.object(corpus_module, name)) for name in parses]
+            warm = [read() for read in reads]
+        assert not any(parsed.called for parsed in mocks)
+        assert_same_corpus(warm[0], cold[0])
+        for got, want in zip(warm[1:], cold[1:]):
+            assert_same_model(got, want)
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped"])
+    def test_damaged_entry_is_parsed_again_and_rewritten(self, tmp_path, damage):
+        path = tmp_path / "m.json"
+        path.write_bytes(MODEL_PIN_FILES[0][2].encode("utf-8"))
+        cache = tmp_path / "cache"
+        want = load_model_cached(path, cache_dir=cache)
+        [entry] = cache.iterdir()
+        data = entry.read_bytes()
+        if damage == "truncated":
+            entry.write_bytes(data[: len(data) // 2])
+        else:
+            # One bit of the rows: only the zip CRC tells.
+            at = data.index(want.matrix.rows.tobytes()) + 20
+            entry.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :])
+        with mock.patch.object(corpus_module, "load_model", wraps=load_model) as parsed:
+            assert_same_model(load_model_cached(path, cache_dir=cache), want)
+            assert entry.read_bytes() == data
+            assert_same_model(load_model_cached(path, cache_dir=cache), want)
+        assert parsed.call_count == 1
 
 
 class TestDedupeConsecutive:

@@ -298,11 +298,12 @@ class TestSimulateLamp:
         assert peak <= 20 * steps + 2**22
 
     def test_stationary_start_holds_no_dense_block(self):
-        # The first state's law needs the solver's dense blocks, the walk
-        # the dense cumulative sums; the matrix keeps only its edges and
-        # condensation, O(n + edges). Measured at 1.08 * n^2 * 8 bytes
-        # while no dense block outlives the call that made it, and at 1.72
-        # with the solver's blocks kept on the matrix.
+        # The first state's law needs the solver's dense blocks; the matrix
+        # keeps only its edges and condensation, O(n + edges). Measured at
+        # 1.08 * n^2 * 8 bytes while no dense block outlives the call that
+        # made it and the walk took dense cumulative sums, at 0.89 once it
+        # summed the positive cells alone, and at 1.72 with the solver's
+        # blocks kept on the matrix.
         n = 300
         model = LampModel(reducible_sparse_chain(n, seed=5), KernelDistribution([0.5, 0.5]))
         assert not is_irreducible(model.matrix)
@@ -313,6 +314,19 @@ class TestSimulateLamp:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * n * n * 8
+
+    def test_walk_holds_no_dense_block(self):
+        # The walk sums each row over its positive cells: measured at
+        # 0.25 * n^2 * 8 bytes, 1.07 with the dense cumulative sums.
+        n = 300
+        P = reducible_sparse_chain(n, seed=5)
+        tracemalloc.start()
+        try:
+            simulate_markov(P, 100, seed=1, init=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.4 * n * n * 8
 
     def test_long_run_frequencies_match_stationary(self):
         rng = np.random.default_rng(13)

@@ -401,6 +401,26 @@ class TestSimulateMarkov:
         assert stationary_distribution(P).probs[0] == 0.0
         assert simulate_markov(P, 2, seed=FixedDraws(0.0)) == ["s1", "s1"]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(1, 7)),
+            elements=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1.0, allow_subnormal=True)),
+        )
+    )
+    def test_sampler_sums_are_the_dense_cumulative_sums(self, rows):
+        rows[~(rows > 0).any(axis=1), -1] = 0.5
+        dense = np.cumsum(rows, axis=1)
+        cells = markov._inverse_cdf(rows)
+        for i, (cum, cols) in enumerate(cells):
+            assert cols.tolist() == np.flatnonzero(rows[i] > 0).tolist()
+            want = dense[i, cols]
+            want[-1] = INF
+            assert np.array(cum).view(np.int64).tolist() == want.view(np.int64).tolist()
+        [(cum, cols)] = markov._inverse_cdf(rows[0])
+        assert (cum, cols.tolist()) == (cells[0][0], cells[0][1].tolist())
+
     def test_working_memory(self):
         # The path's states and labels, about 17 bytes a step, and one
         # block's draws (about 0.5 MB). Anything held per step beyond the
@@ -504,6 +524,7 @@ class TestMatrixIO:
 
 def test_kept_structure_is_read_only():
     P = validate_stochastic([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], list("abc"))
+    assert P.components == (((1,), (0,), (2,)), (1, 0, 2))
     n_components, transient, closed = P.condensation
     assert n_components == 3
     assert transient.tolist() == [0]
